@@ -11,6 +11,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p ulp-exec --all-targets -- -D warnings
 cargo clippy -p ulp-ir --all-targets -- -D warnings
 
+# Figure outputs: each of the 18 paper-figure bins must reproduce its
+# captured stdout in results/<id>.txt byte for byte, so a change that
+# moves a published number cannot land without refreshing the capture.
+for f in results/*.txt; do
+    id=$(basename "$f" .txt)
+    env -u ULP_TRACE "${CARGO_TARGET_DIR:-target}/release/$id" | cmp - "$f"
+done
+echo "figure outputs (results/*.txt byte-identical) OK"
+
 # Telemetry path: one bench binary under ULP_TRACE=summary must render
 # the solver-metrics footer, and ULP_TRACE=events must produce valid
 # (non-empty, one-object-per-line) JSONL — so the tracing layer can

@@ -1166,7 +1166,7 @@ fn node_rest_iv(
 }
 
 /// Stamps the interval DC Jacobian over the node-voltage boxes,
-/// mirroring [`crate::mna::assemble`] stamp for stamp (same
+/// mirroring [`crate::mna::MnaWorkspace::assemble`] stamp for stamp (same
 /// conductance floors, same branch rows, same gmin) so the concrete
 /// Jacobian of any die *at its enclosed operating point* is a member
 /// matrix.

@@ -11,7 +11,7 @@
 
 use crate::dcop::DcOperatingPoint;
 use crate::error::SimError;
-use crate::mna::{matrix_coords, voltage_of, SolverKind};
+use crate::mna::{matrix_coords, require_unknowns, voltage_of, SolverKind};
 use crate::netlist::{Element, Netlist, Node};
 use crate::telemetry::{self, Event, Tracer};
 use std::time::Instant;
@@ -30,8 +30,8 @@ impl AcResult {
     /// Runs an AC analysis over `freqs` (Hz) about the operating point
     /// `op`.
     ///
-    /// Runs the electrical rule check ([`crate::erc::check`]) once up
-    /// front; use [`AcResult::run_unchecked`] to bypass.
+    /// Runs the electrical rule check ([`crate::erc::gate`]) once up
+    /// front.
     ///
     /// # Errors
     ///
@@ -44,23 +44,7 @@ impl AcResult {
         op: &DcOperatingPoint,
         freqs: &[f64],
     ) -> Result<Self, SimError> {
-        crate::erc::gate(nl)?;
-        Self::run_unchecked(nl, tech, op, freqs)
-    }
-
-    /// [`AcResult::run`] without the electrical rule check — the escape
-    /// hatch for deliberately degenerate netlists.
-    ///
-    /// # Errors
-    ///
-    /// As for [`AcResult::run`], minus the ERC gate.
-    pub fn run_unchecked(
-        nl: &Netlist,
-        tech: &Technology,
-        op: &DcOperatingPoint,
-        freqs: &[f64],
-    ) -> Result<Self, SimError> {
-        telemetry::with_tracer(|tracer| Self::run_traced_unchecked(nl, tech, op, freqs, tracer))
+        telemetry::with_tracer(|tracer| Self::run_traced(nl, tech, op, freqs, tracer))
     }
 
     /// [`AcResult::run`] recording telemetry on the given tracer: one
@@ -77,21 +61,7 @@ impl AcResult {
         tracer: &mut dyn Tracer,
     ) -> Result<Self, SimError> {
         crate::erc::gate(nl)?;
-        Self::run_traced_unchecked(nl, tech, op, freqs, tracer)
-    }
-
-    /// [`AcResult::run_traced`] without the rule check.
-    ///
-    /// # Errors
-    ///
-    /// As for [`AcResult::run`], minus the ERC gate.
-    pub fn run_traced_unchecked(
-        nl: &Netlist,
-        tech: &Technology,
-        op: &DcOperatingPoint,
-        freqs: &[f64],
-        tracer: &mut dyn Tracer,
-    ) -> Result<Self, SimError> {
+        require_unknowns(nl)?;
         let dim = nl.unknown_count();
         let solutions = if SolverKind::Auto.resolve(dim) == SolverKind::Sparse {
             run_sparse(nl, tech, op, freqs, tracer)?
@@ -158,7 +128,7 @@ fn cidx(node: Node) -> Option<usize> {
 
 /// Anything the AC stamper can write matrix entries into — the dense
 /// reference matrix or the pattern-reusing sparse one.
-trait CSink {
+pub(crate) trait CSink {
     fn add(&mut self, r: usize, c: usize, v: Complex);
 }
 
@@ -176,7 +146,7 @@ impl CSink for ComplexSparseMatrix {
 
 struct CStamper<'m, M: CSink> {
     a: &'m mut M,
-    b: &'m mut Vec<Complex>,
+    b: &'m mut [Complex],
 }
 
 impl<M: CSink> CStamper<'_, M> {
@@ -210,14 +180,18 @@ impl<M: CSink> CStamper<'_, M> {
 }
 
 /// Stamps the full small-signal system at `omega` about DC solution `x`
-/// into `st` — shared by the dense and sparse paths.
-fn stamp_ac<M: CSink>(
+/// into matrix `a` and source vector `b` — the one small-signal stamper,
+/// shared by the dense and sparse AC paths and by the noise analysis
+/// (which ignores `b`).
+pub(crate) fn stamp_ac<M: CSink>(
     nl: &Netlist,
     tech: &Technology,
     x: &[f64],
     omega: f64,
-    st: &mut CStamper<'_, M>,
+    a: &mut M,
+    b: &mut [Complex],
 ) {
+    let mut st = CStamper { a, b };
     let nn = nl.node_count() - 1;
     // Tiny conductance to ground keeps truly floating small-signal nodes
     // solvable.
@@ -320,11 +294,7 @@ fn run_dense(
         let omega = 2.0 * std::f64::consts::PI * freq;
         let mut matrix = ComplexMatrix::zeros(dim, dim);
         let mut rhs = vec![Complex::ZERO; dim];
-        let mut st = CStamper {
-            a: &mut matrix,
-            b: &mut rhs,
-        };
-        stamp_ac(nl, tech, x, omega, &mut st);
+        stamp_ac(nl, tech, x, omega, &mut matrix, &mut rhs);
         let lu = ComplexLuFactor::new(&matrix).map_err(|e| SimError::from_solve(nl, e))?;
         let sol = lu.solve(&rhs).map_err(|e| SimError::from_solve(nl, e))?;
         solutions.push(sol);
@@ -365,11 +335,7 @@ fn run_sparse(
         let omega = 2.0 * std::f64::consts::PI * freq;
         matrix.zero_values();
         rhs.iter_mut().for_each(|v| *v = Complex::ZERO);
-        let mut st = CStamper {
-            a: &mut matrix,
-            b: &mut rhs,
-        };
-        stamp_ac(nl, tech, x, omega, &mut st);
+        stamp_ac(nl, tech, x, omega, &mut matrix, &mut rhs);
         let mut symbolic = 0;
         let mut refactor = 0;
         let refactored = match lu.as_mut() {

@@ -1,7 +1,9 @@
 //! DC operating point: damped Newton–Raphson with gmin stepping.
 
 use crate::error::SimError;
-use crate::mna::{branch_index, voltage_of, AssembleMode, MnaWorkspace, SolverKind};
+use crate::mna::{
+    branch_index, require_unknowns, voltage_of, AssembleMode, MnaWorkspace, SolverKind,
+};
 use crate::netlist::{Netlist, Node};
 use crate::telemetry::{self, Event, NullTracer, Tracer};
 use std::time::Instant;
@@ -42,7 +44,7 @@ pub struct NewtonResult {
     /// Iterations used by the accepted attempt.
     pub iterations: usize,
     /// ∞-norm KCL residual at the last iterate, A (see
-    /// [`crate::mna::MnaSystem::residual_inf`]).
+    /// [`MnaWorkspace::residual_inf`]).
     pub residual: f64,
     /// Last damped maximum voltage update, V.
     pub max_delta: f64,
@@ -79,11 +81,9 @@ fn attempt(
 ) -> Result<NewtonInfo, SimError> {
     let enabled = tracer.enabled();
     let t0 = enabled.then(Instant::now);
-    // The dense backend reproduces the legacy loop bit for bit, residual
-    // included; the sparse backend only computes the residual when it
-    // will actually be observed — per iteration under tracing, otherwise
-    // once on whichever iteration the attempt exits from.
-    let eager_residual = enabled || !ws.is_sparse();
+    // The residual is computed only when it will actually be observed —
+    // per iteration under tracing, otherwise once on whichever iteration
+    // the attempt exits from.
     let nn = nl.node_count() - 1;
     let lu_dim = nl.unknown_count();
     let swaps0 = ws.pivot_swaps();
@@ -100,18 +100,18 @@ fn attempt(
         ws.assemble(nl, tech, x, mode, gmin);
         // Companion models are assembled *at* x, so `A·x − b` is the
         // true nonlinear KCL residual at the current iterate.
-        if eager_residual {
+        if enabled {
             residual = ws.residual_inf(x);
         }
         if let Err(e) = ws.factor() {
-            if !eager_residual {
+            if !enabled {
                 residual = ws.residual_inf(x);
             }
             failure = Some(SimError::from_solve(nl, e));
             break;
         }
         if let Err(e) = ws.solve_into(x_new) {
-            if !eager_residual {
+            if !enabled {
                 residual = ws.residual_inf(x);
             }
             failure = Some(SimError::from_solve(nl, e));
@@ -130,8 +130,8 @@ fn attempt(
         };
         // Exiting after this iteration either way: capture the residual
         // of the assembled system before x moves off the iterate it was
-        // built at, so the reported value matches the eager path.
-        if !eager_residual && (dv_max <= opts.vtol || iterations == opts.max_iter) {
+        // built at, so the reported value matches the traced path.
+        if !enabled && (dv_max <= opts.vtol || iterations == opts.max_iter) {
             residual = ws.residual_inf(x);
         }
         for (xi, xn) in x.iter_mut().zip(x_new.iter()) {
@@ -178,82 +178,6 @@ fn attempt(
     }
 }
 
-/// Runs damped Newton iteration at a fixed gmin from initial guess
-/// `x0`, reporting the iterations used and the final KCL residual.
-///
-/// Used by the operating-point, sweep and transient drivers. Runs no
-/// electrical rule check — callers gate netlists themselves (see
-/// [`crate::erc`]).
-///
-/// # Errors
-///
-/// [`SimError::Singular`] (naming the failed node or branch) if the
-/// Jacobian is singular; [`SimError::NoConvergence`] (carrying the
-/// iterations used, the gmin, and the residuals of the failing attempt)
-/// if the iteration stalls.
-pub fn newton_solve(
-    nl: &Netlist,
-    tech: &Technology,
-    mode: AssembleMode<'_>,
-    x0: &[f64],
-    gmin: f64,
-    opts: &NewtonOptions,
-) -> Result<NewtonResult, SimError> {
-    let mut ws = MnaWorkspace::new(nl, opts.solver);
-    let mut x = x0.to_vec();
-    let mut x_new = Vec::with_capacity(x.len());
-    let info = attempt(
-        nl,
-        tech,
-        mode,
-        &mut ws,
-        &mut x,
-        &mut x_new,
-        gmin,
-        opts,
-        "dcop",
-        None,
-        &mut NullTracer,
-    )?;
-    Ok(NewtonResult {
-        x,
-        iterations: info.iterations,
-        residual: info.residual,
-        max_delta: info.max_delta,
-    })
-}
-
-/// [`newton_solve`] recording telemetry: emits one
-/// [`Event::NewtonAttempt`] tagged with `analysis` on the given tracer.
-///
-/// # Errors
-///
-/// As for [`newton_solve`].
-#[allow(clippy::too_many_arguments)]
-pub fn newton_solve_traced(
-    nl: &Netlist,
-    tech: &Technology,
-    mode: AssembleMode<'_>,
-    x0: &[f64],
-    gmin: f64,
-    opts: &NewtonOptions,
-    analysis: &'static str,
-    tracer: &mut dyn Tracer,
-) -> Result<NewtonResult, SimError> {
-    let mut ws = MnaWorkspace::new(nl, opts.solver);
-    let mut x = x0.to_vec();
-    let mut x_new = Vec::with_capacity(x.len());
-    let info = attempt(
-        nl, tech, mode, &mut ws, &mut x, &mut x_new, gmin, opts, analysis, None, tracer,
-    )?;
-    Ok(NewtonResult {
-        x,
-        iterations: info.iterations,
-        residual: info.residual,
-        max_delta: info.max_delta,
-    })
-}
-
 /// The gmin-stepping conductance ladder, heaviest rung first.
 const GMIN_LADDER: [f64; 5] = [1e-3, 1e-5, 1e-7, 1e-9, 1e-11];
 
@@ -261,10 +185,39 @@ const GMIN_LADDER: [f64; 5] = [1e-3, 1e-5, 1e-7, 1e-9, 1e-11];
 /// on failure, walk a conductance ladder from heavy damping down,
 /// re-using each stage's solution as the next stage's guess.
 ///
+/// This is the solver under every analysis, and the one public route
+/// that runs no electrical rule check: call it directly for a
+/// deliberately degenerate netlist the ERC gate of the analysis entry
+/// points would refuse. gmin then pins floating nodes near 0 V instead
+/// of failing cleanly.
+///
+/// ```
+/// use ulp_spice::dcop::{newton_solve_gmin_stepping, NewtonOptions};
+/// use ulp_spice::mna::{voltage_of, AssembleMode};
+/// use ulp_spice::netlist::Netlist;
+/// use ulp_device::Technology;
+///
+/// let mut nl = Netlist::new();
+/// let a = nl.node("a");
+/// let fl = nl.node("float");
+/// nl.vsource("V1", a, Netlist::GROUND, 1.0);
+/// nl.resistor("R1", a, Netlist::GROUND, 1e3);
+/// nl.capacitor("C1", a, fl, 1e-12); // capacitors are open at DC
+/// let x0 = vec![0.0; nl.unknown_count()];
+/// let opts = NewtonOptions::default();
+/// let r = newton_solve_gmin_stepping(&nl, &Technology::default(), AssembleMode::Dc, &x0, &opts)
+///     .unwrap();
+/// assert!(voltage_of(&r.x, fl).abs() < 1e-6); // gmin pins the floating node
+/// ```
+///
 /// # Errors
 ///
-/// As for [`newton_solve`]; a [`SimError::NoConvergence`] names the
-/// ladder rung (`gmin` field) that gave up.
+/// [`SimError::EmptyNetlist`] for a netlist with no unknowns;
+/// [`SimError::Singular`] (naming the failed node or branch) if the
+/// Jacobian is singular; [`SimError::NoConvergence`] (carrying the
+/// iterations used, the gmin, and the residuals of the failing attempt)
+/// if the iteration stalls — its `gmin` field names the ladder rung
+/// that gave up.
 pub fn newton_solve_gmin_stepping(
     nl: &Netlist,
     tech: &Technology,
@@ -291,6 +244,7 @@ pub fn newton_solve_gmin_stepping_traced(
     analysis: &'static str,
     tracer: &mut dyn Tracer,
 ) -> Result<NewtonResult, SimError> {
+    require_unknowns(nl)?;
     let mut ws = MnaWorkspace::new(nl, opts.solver);
     let mut x = Vec::with_capacity(x0.len());
     let mut x_new = Vec::with_capacity(x0.len());
@@ -385,13 +339,14 @@ impl DcOperatingPoint {
     /// Solves the DC operating point with default Newton options.
     ///
     /// Runs the electrical rule check ([`crate::erc::gate`]) first and
-    /// refuses to solve a netlist with deny-level diagnostics; use
-    /// [`DcOperatingPoint::solve_unchecked`] to bypass. A clean verdict
-    /// is memoised on the netlist, so repeated solves of an unchanged
-    /// netlist (bias search loops, sweep drivers) check only once. For
-    /// region violations *at* the solved point — strong inversion,
-    /// unsaturated channels, near-singular systems — run the result
-    /// through [`crate::lint::audit`].
+    /// refuses to solve a netlist with deny-level diagnostics;
+    /// [`newton_solve_gmin_stepping`] is the ungated route for
+    /// deliberately degenerate netlists. A clean verdict is memoised on
+    /// the netlist, so repeated solves of an unchanged netlist (bias
+    /// search loops, sweep drivers) check only once. For region
+    /// violations *at* the solved point — strong inversion, unsaturated
+    /// channels, near-singular systems — run the result through
+    /// [`crate::lint::audit`].
     ///
     /// # Errors
     ///
@@ -411,8 +366,7 @@ impl DcOperatingPoint {
         tech: &Technology,
         opts: &NewtonOptions,
     ) -> Result<Self, SimError> {
-        crate::erc::gate(nl)?;
-        Self::solve_with_unchecked(nl, tech, opts)
+        telemetry::with_tracer(|tracer| Self::solve_traced(nl, tech, opts, tracer))
     }
 
     /// Solves starting from a previous solution (continuation), after
@@ -427,19 +381,7 @@ impl DcOperatingPoint {
         guess: &[f64],
         opts: &NewtonOptions,
     ) -> Result<Self, SimError> {
-        crate::erc::gate(nl)?;
-        Self::solve_from_unchecked(nl, tech, guess, opts)
-    }
-
-    /// [`DcOperatingPoint::solve`] without the electrical rule check —
-    /// the escape hatch for deliberately degenerate netlists (gmin will
-    /// pin floating nodes near 0 V instead of failing cleanly).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the Newton driver.
-    pub fn solve_unchecked(nl: &Netlist, tech: &Technology) -> Result<Self, SimError> {
-        Self::solve_with_unchecked(nl, tech, &NewtonOptions::default())
+        telemetry::with_tracer(|tracer| Self::gated(nl, tech, guess, opts, tracer))
     }
 
     /// [`DcOperatingPoint::solve_with`] recording telemetry on the
@@ -455,53 +397,27 @@ impl DcOperatingPoint {
         opts: &NewtonOptions,
         tracer: &mut dyn Tracer,
     ) -> Result<Self, SimError> {
-        crate::erc::gate(nl)?;
-        Self::solve_traced_unchecked(nl, tech, opts, tracer)
+        Self::gated(nl, tech, &vec![0.0; nl.unknown_count()], opts, tracer)
     }
 
-    /// [`DcOperatingPoint::solve_traced`] without the rule check.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the Newton driver.
-    pub fn solve_traced_unchecked(
-        nl: &Netlist,
-        tech: &Technology,
-        opts: &NewtonOptions,
-        tracer: &mut dyn Tracer,
-    ) -> Result<Self, SimError> {
-        let x0 = vec![0.0; nl.unknown_count()];
-        let r = newton_solve_gmin_stepping_traced(nl, tech, AssembleMode::Dc, &x0, opts, "dcop", tracer)?;
-        Ok(DcOperatingPoint { x: r.x })
-    }
-
-    /// [`DcOperatingPoint::solve_with`] without the rule check.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the Newton driver.
-    pub fn solve_with_unchecked(
-        nl: &Netlist,
-        tech: &Technology,
-        opts: &NewtonOptions,
-    ) -> Result<Self, SimError> {
-        telemetry::with_tracer(|tracer| Self::solve_traced_unchecked(nl, tech, opts, tracer))
-    }
-
-    /// [`DcOperatingPoint::solve_from`] without the rule check.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the Newton driver.
-    pub fn solve_from_unchecked(
+    /// The ERC gate, then the gmin-stepping Newton solve from `guess`.
+    fn gated(
         nl: &Netlist,
         tech: &Technology,
         guess: &[f64],
         opts: &NewtonOptions,
+        tracer: &mut dyn Tracer,
     ) -> Result<Self, SimError> {
-        let r = telemetry::with_tracer(|tracer| {
-            newton_solve_gmin_stepping_traced(nl, tech, AssembleMode::Dc, guess, opts, "dcop", tracer)
-        })?;
+        crate::erc::gate(nl)?;
+        let r = newton_solve_gmin_stepping_traced(
+            nl,
+            tech,
+            AssembleMode::Dc,
+            guess,
+            opts,
+            "dcop",
+            tracer,
+        )?;
         Ok(DcOperatingPoint { x: r.x })
     }
 
@@ -657,8 +573,9 @@ mod tests {
     #[test]
     fn floating_node_is_singular_or_gmin_pinned() {
         // A node with no DC path to ground: the checked entry point
-        // refuses it up front with a named diagnostic; the unchecked
-        // escape hatch still solves, with gmin pinning the node near 0.
+        // refuses it up front with a named diagnostic; the ungated
+        // gmin-stepping solver still solves, with gmin pinning the node
+        // near 0.
         let mut nl = Netlist::new();
         let a = nl.node("a");
         let b = nl.node("b");
@@ -672,8 +589,10 @@ mod tests {
             }
             other => panic!("expected ERC rejection, got {other:?}"),
         }
-        let op = DcOperatingPoint::solve_unchecked(&nl, &tech()).unwrap();
-        assert!(op.voltage(b).abs() < 1e-6);
+        let x0 = vec![0.0; nl.unknown_count()];
+        let opts = NewtonOptions::default();
+        let r = newton_solve_gmin_stepping(&nl, &tech(), AssembleMode::Dc, &x0, &opts).unwrap();
+        assert!(voltage_of(&r.x, b).abs() < 1e-6);
     }
 
     #[test]
@@ -691,7 +610,7 @@ mod tests {
         nl.diode("D1", a, Netlist::GROUND, 1e-15, 1.0);
         let x0 = vec![0.0; nl.unknown_count()];
         let opts = NewtonOptions::default();
-        let r = newton_solve(&nl, &tech(), AssembleMode::Dc, &x0, opts.gmin, &opts).unwrap();
+        let r = newton_solve_gmin_stepping(&nl, &tech(), AssembleMode::Dc, &x0, &opts).unwrap();
         // The diode is nonlinear: more than one iteration, and the KCL
         // residual at the converged point is far below the 1 µA drive.
         assert!(r.iterations > 1, "iterations = {}", r.iterations);

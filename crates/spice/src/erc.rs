@@ -35,9 +35,10 @@
 //!
 //! The checker runs by default inside every analysis entry point
 //! ([`crate::dcop::DcOperatingPoint::solve`], [`crate::sweep::dc_sweep`],
-//! [`crate::tran::Transient::run`], [`crate::ac::AcResult::run`]); each
-//! has an `*_unchecked` escape hatch for deliberately degenerate
-//! netlists. A clean [`gate`] verdict is memoised on the netlist and
+//! [`crate::tran::Transient::run`], [`crate::ac::AcResult::run`] and
+//! their `*_traced` forms); [`crate::dcop::newton_solve_gmin_stepping`]
+//! is the one ungated route, for deliberately degenerate netlists. A
+//! clean [`gate`] verdict is memoised on the netlist and
 //! reused until the netlist is mutated, so repeated analyses of one
 //! netlist (sweep drivers, replica bias iteration) pay for the check
 //! once.

@@ -43,7 +43,7 @@ pub enum SimError {
         /// Iterations used in the failing attempt.
         iterations: usize,
         /// ∞-norm KCL residual at the last iterate, A (see
-        /// [`crate::mna::MnaSystem::residual_inf`]).
+        /// [`crate::mna::MnaWorkspace::residual_inf`]).
         residual: f64,
         /// Last damped maximum voltage update, V.
         max_delta: f64,
@@ -51,6 +51,10 @@ pub enum SimError {
         /// a direct attempt, or the ladder rung that gave up.
         gmin: f64,
     },
+    /// The netlist has no unknowns — no non-ground node and no
+    /// voltage-defined element — so there is no system to solve. An
+    /// empty `.ulp` deck (`.end` alone) flattens to exactly this.
+    EmptyNetlist,
     /// An analysis parameter was invalid (message explains which).
     BadParameter(String),
     /// A named element or node was not found in the netlist.
@@ -88,8 +92,9 @@ impl fmt::Display for SimError {
                 writeln!(f, "{report}")?;
                 write!(
                     f,
-                    "hint: fix the diagnostics above, or use the *_unchecked entry \
-                     point to bypass the ERC gate"
+                    "hint: fix the diagnostics above, or call \
+                     dcop::newton_solve_gmin_stepping directly to solve a \
+                     deliberately degenerate netlist without the ERC gate"
                 )
             }
             SimError::Singular {
@@ -126,6 +131,12 @@ impl fmt::Display for SimError {
                  gmin {gmin:.1e} S (KCL residual {residual:.3e} A, last update \
                  {max_delta:.3e} V); hint: raise NewtonOptions::max_iter, lower \
                  max_step, or loosen vtol"
+            ),
+            SimError::EmptyNetlist => write!(
+                f,
+                "netlist has no unknowns (no non-ground node and no voltage-defined \
+                 element); hint: nothing to analyse — check that the deck's element \
+                 cards were read"
             ),
             SimError::BadParameter(msg) => write!(
                 f,

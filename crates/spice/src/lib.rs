@@ -28,20 +28,22 @@
 //! # Linear algebra backends
 //!
 //! Every analysis solves its MNA systems through a reusable
-//! [`mna::MnaWorkspace`] with two interchangeable backends:
+//! [`mna::MnaWorkspace`]. Assembly is one compiled stamp program per
+//! (netlist, analysis mode, gmin): a static value snapshot over a fixed
+//! sparsity pattern plus a replay of the iterate-dependent stamps,
+//! allocation-free on every Newton iteration, sweep point and time step.
+//! Two interchangeable backends factor the assembled system:
 //!
 //! * **sparse** (default for systems of a handful of unknowns and up) —
-//!   compressed row storage, one symbolic analysis per (netlist,
-//!   analysis-mode) pair, then allocation-free in-place restamping and
-//!   numeric-only refactorization ([`ulp_num::sparse::SparseLu`]) on
-//!   every Newton iteration, sweep point and time step;
-//! * **dense** — the original [`ulp_num::lu::LuFactor`] path, kept
-//!   verbatim as the bitwise-stable oracle the sparse path is tested
-//!   against (to 1e-12 in the ∞-norm; see `tests/sparse_equivalence`).
+//!   one symbolic analysis per (netlist, analysis-mode family), then
+//!   numeric-only refactorization ([`ulp_num::sparse::SparseLu`]);
+//! * **dense** — the [`ulp_num::lu::LuFactor`] oracle the sparse path is
+//!   tested against (to 1e-12 in the ∞-norm; see
+//!   `tests/sparse_equivalence`): the assembled values scattered into a
+//!   full matrix and factored from scratch.
 //!
 //! Selection: [`dcop::NewtonOptions::solver`] if set to something other
-//! than [`mna::SolverKind::Auto`], else the `ULP_SOLVER` environment
-//! variable (`dense`/`sparse`/`auto`), else dimension-based auto.
+//! than [`mna::SolverKind::Auto`], else dimension-based auto.
 //!
 //! # Example
 //!
@@ -96,17 +98,18 @@
 //!     }
 //!     other => panic!("expected ERC rejection, got {other:?}"),
 //! }
-//! // Deliberately degenerate netlists can bypass the gate:
-//! let op = DcOperatingPoint::solve_unchecked(&nl, &Technology::default()).unwrap();
-//! assert!(op.voltage(fl).abs() < 1e-6); // gmin pins the floating node
 //! ```
 //!
-//! Each checked entry point has an `*_unchecked` twin that skips the
-//! gate, and [`erc::check`] can be called directly for lint-style use.
-//! When a singular matrix does slip through (e.g. via the unchecked
-//! path), the solver maps the zero-pivot elimination step back through
-//! the MNA variable ordering to a named node or branch
-//! ([`SimError::Singular`], via [`mna::unknown_name`]).
+//! Each analysis entry point `X` has one `X_traced` form that records
+//! telemetry on a caller's tracer (`X` is `X_traced` on the process
+//! collector), and both run the gate. Deliberately degenerate netlists
+//! go through
+//! [`dcop::newton_solve_gmin_stepping`], the one ungated solver, and
+//! [`erc::check`] can be called directly for lint-style use. When a
+//! singular matrix does slip through (e.g. via the ungated solver), the
+//! solver maps the zero-pivot elimination step back through the MNA
+//! variable ordering to a named node or branch ([`SimError::Singular`],
+//! via [`mna::unknown_name`]).
 //!
 //! # Design lints
 //!

@@ -33,12 +33,11 @@
 
 use crate::dcop::{DcOperatingPoint, NewtonOptions};
 use crate::diag::{Diagnostic, ErcReport, Severity};
-use crate::mna::{self, AssembleMode};
+use crate::mna::{self, AssembleMode, MnaWorkspace, SolverKind};
 use crate::netlist::{Element, Netlist, Node};
 use ulp_device::mismatch::MismatchRng;
 use ulp_device::pvt::Corner;
 use ulp_device::{Polarity, Technology};
-use ulp_num::lu::LuFactor;
 
 /// Stable machine-readable codes of the electrical and numerics rules
 /// (the topology codes live in [`crate::erc::rule`]).
@@ -1220,12 +1219,12 @@ pub fn audit(
             );
         }
     }
-    // Conditioning of the Jacobian at the solution.
-    let gmin = NewtonOptions::default().gmin;
-    let sys = mna::assemble(nl, tech, x, AssembleMode::Dc, gmin);
-    match LuFactor::new(&sys.matrix) {
-        Ok(lu) => {
-            let ratio = lu.pivot_ratio();
+    // Conditioning of the Jacobian at the solution, judged by dense LU.
+    let mut ws = MnaWorkspace::new(nl, SolverKind::Dense);
+    ws.assemble(nl, tech, x, AssembleMode::Dc, NewtonOptions::default().gmin);
+    match ws.factor() {
+        Ok(()) => {
+            let ratio = ws.pivot_ratio();
             let bound = config.near_singular_ratio();
             if ratio > bound {
                 raw.push(
@@ -1609,7 +1608,7 @@ mod tests {
         // converges fine — only the audit sees the region violation.
         let t = tech();
         let nl = stscl_cell(10e-6, 0.2, 1.0);
-        let op = DcOperatingPoint::solve_unchecked(&nl, &t).unwrap();
+        let op = DcOperatingPoint::solve(&nl, &t).unwrap();
         let report = audit(&nl, &t, &op, &LintConfig::new());
         let d = report
             .find(rule::STRONG_INVERSION)

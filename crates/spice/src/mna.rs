@@ -10,19 +10,19 @@
 //! assembled system reads `A(x_k)·x_{k+1} = b(x_k)` and a fixed point is
 //! an exact solution of the nonlinear KCL equations.
 //!
-//! Two assembly paths exist. [`assemble`] builds a fresh dense
-//! [`MnaSystem`] — the reference implementation, used by one-shot
-//! consumers such as the lint operating-point audit. The hot analysis
-//! loops (Newton, gmin ladder, sweeps, transient) instead allocate one
-//! [`MnaWorkspace`] per (netlist, analysis) and restamp it in place: the
+//! There is one assembly path. Every analysis (Newton, gmin ladder,
+//! sweeps, transient, the lint operating-point audit) allocates one
+//! [`MnaWorkspace`] per (netlist, analysis) and restamps it in place: the
 //! sparsity pattern, the slot plan for every element stamp, and the
 //! values of all *static* (iterate-independent) stamps are computed once,
-//! and each iteration only rewrites the dynamic companion-model entries
-//! and refactorises numerically against the cached symbolic
-//! factorization from [`ulp_num::sparse`].
+//! and each iteration only replays the dynamic companion-model stamps.
+//! The two linear-solver backends differ only in how they factor the
+//! assembled system: the sparse one refactorises numerically against the
+//! cached symbolic factorization from [`ulp_num::sparse`], the dense one
+//! is the [`LuFactor`] oracle.
 
 use crate::netlist::{Element, Netlist, Node};
-use std::fmt;
+use crate::SimError;
 use ulp_num::lu::{LuFactor, SolveError};
 use ulp_num::sparse::{SparseLu, SparseMatrix};
 use ulp_num::Matrix;
@@ -63,275 +63,12 @@ pub enum AssembleMode<'a> {
     },
 }
 
-/// Assembled real MNA system `A·x = b`.
-#[derive(Debug, Clone)]
-pub struct MnaSystem {
-    /// System matrix.
-    pub matrix: Matrix,
-    /// Right-hand side.
-    pub rhs: Vec<f64>,
-}
-
-impl MnaSystem {
-    /// ∞-norm of `A·x − b`.
-    ///
-    /// Because nonlinear elements are stamped as companion models
-    /// linearised about `x`, evaluating the assembled system at the
-    /// *same* `x` recovers the true nonlinear residual of the MNA
-    /// equations: the net KCL current error at every node (and the
-    /// voltage-law error of every branch equation), in amps.
-    pub fn residual_inf(&self, x: &[f64]) -> f64 {
-        self.matrix
-            .mul_vec(x)
-            .iter()
-            .zip(&self.rhs)
-            .map(|(ax, b)| (ax - b).abs())
-            .fold(0.0, f64::max)
-    }
-}
-
 /// Voltage of `node` in solution vector `x` (ground = 0).
 pub fn voltage_of(x: &[f64], node: Node) -> f64 {
     if node.is_ground() {
         0.0
     } else {
         x[node.index() - 1]
-    }
-}
-
-/// Row/column index of a node in the MNA system (`None` for ground).
-fn idx(node: Node) -> Option<usize> {
-    if node.is_ground() {
-        None
-    } else {
-        Some(node.index() - 1)
-    }
-}
-
-struct Stamper<'m> {
-    a: &'m mut Matrix,
-    b: &'m mut Vec<f64>,
-}
-
-impl Stamper<'_> {
-    fn conductance(&mut self, p: Node, n: Node, g: f64) {
-        if let Some(i) = idx(p) {
-            self.a[(i, i)] += g;
-            if let Some(j) = idx(n) {
-                self.a[(i, j)] -= g;
-            }
-        }
-        if let Some(j) = idx(n) {
-            self.a[(j, j)] += g;
-            if let Some(i) = idx(p) {
-                self.a[(j, i)] -= g;
-            }
-        }
-    }
-
-    /// Transconductance: current `gm·(V(cp) − V(cn))` leaves `p`, enters
-    /// `n`.
-    fn transconductance(&mut self, p: Node, n: Node, cp: Node, cn: Node, gm: f64) {
-        for (out, sign) in [(p, 1.0), (n, -1.0)] {
-            if let Some(r) = idx(out) {
-                if let Some(c) = idx(cp) {
-                    self.a[(r, c)] += sign * gm;
-                }
-                if let Some(c) = idx(cn) {
-                    self.a[(r, c)] -= sign * gm;
-                }
-            }
-        }
-    }
-
-    /// Constant current `i` leaving node `p` and entering node `n`.
-    fn current(&mut self, p: Node, n: Node, i: f64) {
-        if let Some(r) = idx(p) {
-            self.b[r] -= i;
-        }
-        if let Some(r) = idx(n) {
-            self.b[r] += i;
-        }
-    }
-}
-
-/// Assembles the real MNA system for the given candidate solution `x`.
-///
-/// `gmin` siemens are added from every non-ground node to ground
-/// (convergence aid, SPICE-standard).
-///
-/// # Panics
-///
-/// Panics if `x.len()` differs from [`Netlist::unknown_count`], or if a
-/// transient mode is supplied with mismatched state-vector lengths.
-pub fn assemble(
-    nl: &Netlist,
-    tech: &Technology,
-    x: &[f64],
-    mode: AssembleMode<'_>,
-    gmin: f64,
-) -> MnaSystem {
-    let dim = nl.unknown_count();
-    let mut matrix = Matrix::zeros(dim, dim);
-    let mut rhs = vec![0.0; dim];
-    assemble_into(nl, tech, x, mode, gmin, &mut matrix, &mut rhs);
-    MnaSystem { matrix, rhs }
-}
-
-/// [`assemble`] writing into caller-owned buffers (resized and cleared
-/// first) — lets the dense workspace path reuse its matrix and RHS
-/// allocations across Newton iterations. Stamp order is identical to
-/// [`assemble`], so the resulting system is bitwise equal.
-pub fn assemble_into(
-    nl: &Netlist,
-    tech: &Technology,
-    x: &[f64],
-    mode: AssembleMode<'_>,
-    gmin: f64,
-    matrix: &mut Matrix,
-    rhs: &mut Vec<f64>,
-) {
-    let nn = nl.node_count() - 1;
-    let dim = nl.unknown_count();
-    assert_eq!(x.len(), dim, "candidate solution has wrong dimension");
-    if matrix.rows() != dim || matrix.cols() != dim {
-        *matrix = Matrix::zeros(dim, dim);
-    } else {
-        matrix.clear();
-    }
-    rhs.clear();
-    rhs.resize(dim, 0.0);
-    let mut st = Stamper {
-        a: matrix,
-        b: rhs,
-    };
-
-    // gmin from every node to ground.
-    for i in 0..nn {
-        st.a[(i, i)] += gmin;
-    }
-
-    let mut branch = nn; // next branch row
-    let mut cap_index = 0usize;
-    let time = match mode {
-        AssembleMode::Dc => 0.0,
-        AssembleMode::Transient { time, .. } => time,
-    };
-
-    for e in nl.elements() {
-        match e {
-            Element::Resistor { a, b, ohms, .. } => st.conductance(*a, *b, 1.0 / ohms),
-            Element::Capacitor { a, b, farads, .. } => {
-                if let AssembleMode::Transient {
-                    dt,
-                    prev,
-                    cap_currents,
-                    method,
-                    ..
-                } = mode
-                {
-                    let v_prev = voltage_of(prev, *a) - voltage_of(prev, *b);
-                    match method {
-                        Integrator::BackwardEuler => {
-                            let geq = farads / dt;
-                            st.conductance(*a, *b, geq);
-                            // i = geq·v − geq·v_prev ⇒ constant part −geq·v_prev
-                            st.current(*a, *b, -geq * v_prev);
-                        }
-                        Integrator::Trapezoidal => {
-                            let geq = 2.0 * farads / dt;
-                            let i_prev = cap_currents[cap_index];
-                            st.conductance(*a, *b, geq);
-                            st.current(*a, *b, -(geq * v_prev + i_prev));
-                        }
-                    }
-                }
-                cap_index += 1;
-            }
-            Element::Vsource { p, n, wave, .. } => {
-                let rb = branch;
-                branch += 1;
-                if let Some(i) = idx(*p) {
-                    st.a[(i, rb)] += 1.0;
-                    st.a[(rb, i)] += 1.0;
-                }
-                if let Some(j) = idx(*n) {
-                    st.a[(j, rb)] -= 1.0;
-                    st.a[(rb, j)] -= 1.0;
-                }
-                st.b[rb] = wave.at(time);
-            }
-            Element::Isource { p, n, wave, .. } => {
-                st.current(*p, *n, wave.at(time));
-            }
-            Element::Vcvs {
-                p, n, cp, cn, gain, ..
-            } => {
-                let rb = branch;
-                branch += 1;
-                if let Some(i) = idx(*p) {
-                    st.a[(i, rb)] += 1.0;
-                    st.a[(rb, i)] += 1.0;
-                }
-                if let Some(j) = idx(*n) {
-                    st.a[(j, rb)] -= 1.0;
-                    st.a[(rb, j)] -= 1.0;
-                }
-                if let Some(c) = idx(*cp) {
-                    st.a[(rb, c)] -= gain;
-                }
-                if let Some(c) = idx(*cn) {
-                    st.a[(rb, c)] += gain;
-                }
-            }
-            Element::Vccs {
-                p, n, cp, cn, gm, ..
-            } => st.transconductance(*p, *n, *cp, *cn, *gm),
-            Element::Diode {
-                p, n, is_sat, n_id, ..
-            } => {
-                let v = voltage_of(x, *p) - voltage_of(x, *n);
-                let vt = n_id * tech.thermal_voltage();
-                // Clamp the exponent to keep the companion model finite;
-                // Newton's voltage limiting does the rest.
-                let arg = (v / vt).min(40.0);
-                let ex = arg.exp();
-                let i = is_sat * (ex - 1.0);
-                let g = (is_sat / vt * ex).max(1e-18);
-                st.conductance(*p, *n, g);
-                st.current(*p, *n, i - g * v);
-            }
-            Element::Mos { d, g, s, b, dev, .. } => {
-                let vb = voltage_of(x, *b);
-                let vg = voltage_of(x, *g) - vb;
-                let vs = voltage_of(x, *s) - vb;
-                let vd = voltage_of(x, *d) - vb;
-                let op = dev.operating_point(tech, vg, vs, vd);
-                // Signed drain-terminal current (leaving node d through
-                // the channel): +id for NMOS, −id for PMOS. In both
-                // cases its derivatives w.r.t. the *physical*
-                // bulk-referred voltages equal the reflected-model
-                // values (two sign flips cancel).
-                let i_dt = match dev.polarity {
-                    ulp_device::Polarity::Nmos => op.id,
-                    ulp_device::Polarity::Pmos => -op.id,
-                };
-                let (gm, gms, gds) = (op.gm, op.gms, op.gds);
-                // Stamp ∂I/∂V terms: row d positive, row s negative.
-                st.transconductance(*d, *s, *g, *b, gm);
-                st.transconductance(*d, *s, *s, *b, gms);
-                st.transconductance(*d, *s, *d, *b, gds);
-                let i_eq = i_dt - gm * vg - gms * vs - gds * vd;
-                st.current(*d, *s, i_eq);
-            }
-            Element::SclLoad { a, b, load, iss, .. } => {
-                let v = voltage_of(x, *a) - voltage_of(x, *b);
-                let i = load.current(v, *iss);
-                let g = load.conductance(v, *iss).max(1e-18);
-                st.conductance(*a, *b, g);
-                st.current(*a, *b, i - g * v);
-            }
-        }
     }
 }
 
@@ -342,9 +79,8 @@ pub fn assemble_into(
 /// Which linear-solver backend an [`MnaWorkspace`] should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
-    /// Resolve per system: honour the `ULP_SOLVER` environment variable
-    /// (`dense` / `sparse`) when set, otherwise use the sparse path for
-    /// systems of dimension ≥ [`AUTO_SPARSE_MIN_DIM`] and dense below.
+    /// Resolve per system: the sparse path for systems of dimension
+    /// ≥ [`AUTO_SPARSE_MIN_DIM`], dense below.
     #[default]
     Auto,
     /// Always the dense reference path (fresh full-pivoted LU per solve).
@@ -359,88 +95,25 @@ pub enum SolverKind {
 /// sparse bookkeeping cannot pay for itself.
 pub const AUTO_SPARSE_MIN_DIM: usize = 4;
 
-/// A malformed `ULP_SOLVER` environment variable.
-///
-/// Follows the strict-environment precedent of `ULP_JOBS`
-/// (`ulp_exec::JobsError`) and `ULP_LINT` (`LintEnvError`): a value
-/// that cannot mean what the user intended is a loud diagnostic, never
-/// a silent fallback.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SolverEnvError {
-    /// The variable is set to something other than
-    /// `auto`/`dense`/`sparse`.
-    Unknown {
-        /// The rejected value, verbatim.
-        value: String,
-    },
-    /// The variable is set but empty.
-    Empty,
-}
-
-impl fmt::Display for SolverEnvError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SolverEnvError::Unknown { value } => write!(
-                f,
-                "ULP_SOLVER: unknown solver `{value}` (expected `auto`, `dense` or `sparse`)"
-            ),
-            SolverEnvError::Empty => write!(
-                f,
-                "ULP_SOLVER: empty value (expected `auto`, `dense` or `sparse`, or unset)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SolverEnvError {}
-
-/// Parses a solver-backend name: `auto`, `dense` or `sparse`
-/// (lower-case only, matching how the kinds print in telemetry).
-pub fn solver_from_str(value: &str) -> Result<SolverKind, SolverEnvError> {
-    match value {
-        "auto" => Ok(SolverKind::Auto),
-        "dense" => Ok(SolverKind::Dense),
-        "sparse" => Ok(SolverKind::Sparse),
-        "" => Err(SolverEnvError::Empty),
-        other => Err(SolverEnvError::Unknown {
-            value: other.to_string(),
-        }),
-    }
-}
-
-/// Reads `ULP_SOLVER`. `Ok(None)` when unset; otherwise the strictly
-/// parsed kind or the typed error.
-pub fn solver_from_env() -> Result<Option<SolverKind>, SolverEnvError> {
-    match std::env::var("ULP_SOLVER") {
-        Ok(v) => solver_from_str(&v).map(Some),
-        Err(_) => Ok(None),
-    }
-}
-
 impl SolverKind {
-    /// # Panics
-    ///
-    /// Panics with the [`SolverEnvError`] diagnostic when `ULP_SOLVER`
-    /// is set to an unrecognized value — the same contract as
-    /// `LintConfig::from_env`: a typo must not silently change which
-    /// backend certifies a result.
+    /// The concrete backend for a system of dimension `dim`.
     pub(crate) fn resolve(self, dim: usize) -> SolverKind {
-        let auto = |dim: usize| {
-            if dim >= AUTO_SPARSE_MIN_DIM {
-                SolverKind::Sparse
-            } else {
-                SolverKind::Dense
-            }
-        };
         match self {
-            SolverKind::Dense => SolverKind::Dense,
-            SolverKind::Sparse => SolverKind::Sparse,
-            SolverKind::Auto => match solver_from_env() {
-                Ok(Some(SolverKind::Auto)) | Ok(None) => auto(dim),
-                Ok(Some(kind)) => kind,
-                Err(e) => panic!("{e}"),
-            },
+            SolverKind::Auto if dim >= AUTO_SPARSE_MIN_DIM => SolverKind::Sparse,
+            SolverKind::Auto => SolverKind::Dense,
+            kind => kind,
         }
+    }
+}
+
+/// Refuses a netlist with no unknowns (no non-ground node and no
+/// voltage-defined element) before an analysis plans a system for it —
+/// an empty `.ulp` deck parses and flattens to exactly that.
+pub(crate) fn require_unknowns(nl: &Netlist) -> Result<(), SimError> {
+    if nl.unknown_count() == 0 {
+        Err(SimError::EmptyNetlist)
+    } else {
+        Ok(())
     }
 }
 
@@ -610,11 +283,6 @@ impl ModeKey {
     }
 }
 
-struct DenseWs {
-    sys: Option<MnaSystem>,
-    lu: Option<LuFactor>,
-}
-
 /// Device-latency bypass state for one nonlinear element (diode, MOS
 /// or STSCL load), indexed by nonlinear-element ordinal so it survives
 /// the dyn-op replans an adaptive transient triggers on every step-size
@@ -637,43 +305,33 @@ struct BypassSlot {
     pend_i_eq: f64,
 }
 
-struct SparseWs {
-    mat: SparseMatrix,
-    rhs: Vec<f64>,
-    /// Snapshot of all iterate-independent stamp values; each assemble
-    /// starts from `copy_from_slice` of this instead of restamping them.
-    static_vals: Vec<f64>,
-    dyn_ops: Vec<DynOp>,
-    /// One slot per nonlinear element, in netlist order.
-    bypass: Vec<BypassSlot>,
-    lu: Option<SparseLu>,
-    prep: Option<PrepKey>,
-    /// Set when the assembly *family* (DC ↔ transient) changed: the
-    /// cached pivot order was chosen for very different magnitudes, so
-    /// force a full re-pivoting factorization instead of a numeric
-    /// refactor. Same-family step-size changes keep the pivot order and
-    /// only refresh the static values.
-    force_symbolic: bool,
-}
-
+/// The one place the two backends differ: how the assembled system is
+/// factored and solved.
 enum Backend {
-    Dense(DenseWs),
-    Sparse(Box<SparseWs>),
+    /// The linear-algebra oracle: the assembled values are scattered
+    /// into a reused dense matrix and factored from scratch by
+    /// [`LuFactor`] on every call.
+    Dense {
+        full: Matrix,
+        lu: Option<LuFactor>,
+    },
+    /// The symbolic factorization (pivot order + fill-in pattern) is
+    /// reused across restamps, with a full re-pivot only when a numeric
+    /// refactorization hits a collapsed pivot.
+    Sparse(Option<SparseLu>),
 }
 
 /// A reusable MNA assembly + solve workspace, allocated once per
 /// (netlist, analysis) and restamped in place every Newton iteration,
 /// sweep point and time step.
 ///
-/// The dense backend IS the legacy path — it calls [`assemble`] +
-/// [`LuFactor::new`] per iteration with the seed's exact arithmetic and
-/// allocation profile, serving as the bitwise-stable fallback and the
-/// oracle the sparse path is validated against. The sparse backend
-/// splits stamps into static and dynamic sets, restamps in place with
-/// no per-iteration allocations, and reuses the symbolic factorization
-/// (pivot order + fill-in pattern) across restamps, falling back to a
-/// full re-pivot only when the numeric refactorization hits a collapsed
-/// pivot.
+/// Assembly is compiled once per (mode, gmin, netlist revision): the
+/// iterate-independent stamps become a static value snapshot over a
+/// fixed sparsity pattern, and everything else a list of slot-resolved
+/// dynamic ops. Each [`Self::assemble`] copies the snapshot and replays
+/// the ops, with no per-iteration allocation. Both backends share that
+/// assembly; they differ only in [`Self::factor`] / [`Self::solve_into`]
+/// (see [`SolverKind`]).
 ///
 /// # Example
 ///
@@ -699,6 +357,21 @@ pub struct MnaWorkspace {
     dim: usize,
     nn: usize,
     n_elements: usize,
+    mat: SparseMatrix,
+    rhs: Vec<f64>,
+    /// Snapshot of all iterate-independent stamp values; each assemble
+    /// starts from `copy_from_slice` of this instead of restamping them.
+    static_vals: Vec<f64>,
+    dyn_ops: Vec<DynOp>,
+    /// One slot per nonlinear element, in netlist order.
+    bypass: Vec<BypassSlot>,
+    prep: Option<PrepKey>,
+    /// Set when the assembly *family* (DC ↔ transient) changed: the
+    /// cached sparse pivot order was chosen for very different
+    /// magnitudes, so force a full re-pivoting factorization instead of
+    /// a numeric refactor. Same-family step-size changes keep the pivot
+    /// order and only refresh the static values.
+    force_symbolic: bool,
     backend: Backend,
     symbolic: usize,
     refactors: usize,
@@ -712,50 +385,44 @@ pub struct MnaWorkspace {
 
 impl MnaWorkspace {
     /// Builds a workspace for `nl`, resolving `solver` against the system
-    /// dimension and the `ULP_SOLVER` environment variable.
+    /// dimension.
     ///
     /// # Panics
     ///
     /// Panics if the netlist has no unknowns.
     pub fn new(nl: &Netlist, solver: SolverKind) -> Self {
         let dim = nl.unknown_count();
-        let nn = nl.node_count() - 1;
         assert!(dim > 0, "netlist has no unknowns");
+        let mat = SparseMatrix::from_pattern(dim, &matrix_coords(nl));
+        let nnz = mat.nnz();
+        let n_nonlinear = nl
+            .elements()
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    Element::Diode { .. } | Element::Mos { .. } | Element::SclLoad { .. }
+                )
+            })
+            .count();
         let backend = match solver.resolve(dim) {
-            SolverKind::Sparse => {
-                let coords = matrix_coords(nl);
-                let mat = SparseMatrix::from_pattern(dim, &coords);
-                let nnz = mat.nnz();
-                let n_nonlinear = nl
-                    .elements()
-                    .iter()
-                    .filter(|e| {
-                        matches!(
-                            e,
-                            Element::Diode { .. } | Element::Mos { .. } | Element::SclLoad { .. }
-                        )
-                    })
-                    .count();
-                Backend::Sparse(Box::new(SparseWs {
-                    mat,
-                    rhs: vec![0.0; dim],
-                    static_vals: vec![0.0; nnz],
-                    dyn_ops: Vec::new(),
-                    bypass: vec![BypassSlot::default(); n_nonlinear],
-                    lu: None,
-                    prep: None,
-                    force_symbolic: false,
-                }))
-            }
-            _ => Backend::Dense(DenseWs {
-                sys: None,
+            SolverKind::Sparse => Backend::Sparse(None),
+            _ => Backend::Dense {
+                full: Matrix::zeros(dim, dim),
                 lu: None,
-            }),
+            },
         };
         MnaWorkspace {
             dim,
-            nn,
+            nn: nl.node_count() - 1,
             n_elements: nl.elements().len(),
+            mat,
+            rhs: vec![0.0; dim],
+            static_vals: vec![0.0; nnz],
+            dyn_ops: Vec::new(),
+            bypass: vec![BypassSlot::default(); n_nonlinear],
+            prep: None,
+            force_symbolic: false,
             backend,
             symbolic: 0,
             refactors: 0,
@@ -791,15 +458,14 @@ impl MnaWorkspace {
         self.swaps
     }
 
-    /// Enables device-latency bypass on the sparse backend: a nonlinear
-    /// element (diode, MOS, STSCL load) whose model inputs have all
-    /// moved by less than `tol` volts since the last *committed*
-    /// reference point (see [`Self::commit_bypass`]) re-applies its
-    /// cached companion stamps instead of re-evaluating the device
-    /// model. `tol = 0.0` (the default) disables bypass and keeps the
-    /// evaluation path bit-identical to an untouched workspace. The
-    /// dense reference backend never bypasses — it stays the verbatim
-    /// oracle.
+    /// Enables device-latency bypass: a nonlinear element (diode, MOS,
+    /// STSCL load) whose model inputs have all moved by less than `tol`
+    /// volts since the last *committed* reference point (see
+    /// [`Self::commit_bypass`]) re-applies its cached companion stamps
+    /// instead of re-evaluating the device model. Both backends share
+    /// the assembly, so both bypass alike. `tol = 0.0` (the default)
+    /// disables bypass and keeps the evaluation path bit-identical to an
+    /// untouched workspace.
     ///
     /// # Panics
     ///
@@ -822,35 +488,37 @@ impl MnaWorkspace {
     /// solution — a documented approximation far below the bypass
     /// tolerance itself.
     pub fn commit_bypass(&mut self) {
-        if let Backend::Sparse(s) = &mut self.backend {
-            for slot in &mut s.bypass {
-                if slot.fresh {
-                    slot.v = slot.pend_v;
-                    slot.g = slot.pend_g;
-                    slot.i_eq = slot.pend_i_eq;
-                    slot.valid = true;
-                    slot.fresh = false;
-                }
+        for slot in &mut self.bypass {
+            if slot.fresh {
+                slot.v = slot.pend_v;
+                slot.g = slot.pend_g;
+                slot.i_eq = slot.pend_i_eq;
+                slot.valid = true;
+                slot.fresh = false;
             }
         }
     }
 
     /// Cumulative count of nonlinear device evaluations skipped via the
     /// bypass cache (one per device per assembly that re-applied cached
-    /// stamps). Always `0` with bypass disabled or on the dense
-    /// backend.
+    /// stamps). Always `0` with bypass disabled.
     pub fn devices_bypassed(&self) -> u64 {
         self.bypassed
     }
 
-    /// Restamps the system for candidate solution `x` (see [`assemble`]
-    /// for the semantics of `mode` and `gmin`).
+    /// Restamps the system `A(x)·x' = b(x)` for candidate solution `x`.
+    ///
+    /// `mode` selects DC or one transient step; `gmin` siemens are added
+    /// from every non-ground node to ground (convergence aid,
+    /// SPICE-standard).
     ///
     /// # Panics
     ///
-    /// Panics if `x.len()` differs from [`Self::dim`], or if the netlist
-    /// topology changed since the workspace was planned (parameter edits
-    /// such as `set_source` are fine and picked up automatically).
+    /// Panics if `x.len()` differs from [`Self::dim`], if a transient
+    /// mode is supplied with mismatched state-vector lengths, or if the
+    /// netlist topology changed since the workspace was planned
+    /// (parameter edits such as `set_source` are fine and picked up
+    /// automatically).
     pub fn assemble(
         &mut self,
         nl: &Netlist,
@@ -864,72 +532,59 @@ impl MnaWorkspace {
             nl.unknown_count() == self.dim && nl.elements().len() == self.n_elements,
             "netlist topology changed under a planned MnaWorkspace"
         );
-        match &mut self.backend {
-            Backend::Dense(d) => {
-                d.sys = Some(assemble(nl, tech, x, mode, gmin));
-                d.lu = None;
-            }
-            Backend::Sparse(s) => {
-                let key = PrepKey {
-                    mode: ModeKey::of(&mode),
-                    gmin_bits: gmin.to_bits(),
-                    revision: nl.revision(),
-                };
-                if s.prep != Some(key) {
-                    if let Some(prev) = s.prep {
-                        if prev.mode.family() != key.mode.family() {
-                            s.force_symbolic = true;
-                        }
-                        // A netlist edit may have changed the device
-                        // parameters baked into the cached stamps.
-                        if prev.revision != key.revision {
-                            s.bypass.iter_mut().for_each(|b| *b = BypassSlot::default());
-                        }
-                    }
-                    prepare_sparse(s, nl, &mode, gmin, self.nn);
-                    s.prep = Some(key);
+        let key = PrepKey {
+            mode: ModeKey::of(&mode),
+            gmin_bits: gmin.to_bits(),
+            revision: nl.revision(),
+        };
+        if self.prep != Some(key) {
+            if let Some(prev) = self.prep {
+                if prev.mode.family() != key.mode.family() {
+                    self.force_symbolic = true;
                 }
-                s.mat.values_mut().copy_from_slice(&s.static_vals);
-                s.rhs.iter_mut().for_each(|v| *v = 0.0);
-                apply_dyn(
-                    &s.dyn_ops,
-                    nl,
-                    tech,
-                    x,
-                    &mode,
-                    s.mat.values_mut(),
-                    &mut s.rhs,
-                    self.bypass_tol,
-                    &mut s.bypass,
-                    &mut self.bypassed,
-                );
+                // A netlist edit may have changed the device parameters
+                // baked into the cached stamps.
+                if prev.revision != key.revision {
+                    self.bypass.iter_mut().for_each(|b| *b = BypassSlot::default());
+                }
             }
+            self.prepare(nl, &mode, gmin);
+            self.prep = Some(key);
         }
+        self.mat.values_mut().copy_from_slice(&self.static_vals);
+        self.rhs.iter_mut().for_each(|v| *v = 0.0);
+        apply_dyn(
+            &self.dyn_ops,
+            nl,
+            tech,
+            x,
+            &mode,
+            self.mat.values_mut(),
+            &mut self.rhs,
+            self.bypass_tol,
+            &mut self.bypass,
+            &mut self.bypassed,
+        );
     }
 
-    /// ∞-norm of `A·x − b` for the currently assembled system; on the
-    /// dense backend this is bitwise equal to
-    /// [`MnaSystem::residual_inf`].
+    /// ∞-norm of `A·x − b` for the currently assembled system.
+    ///
+    /// Because nonlinear elements are stamped as companion models
+    /// linearised about the iterate, evaluating the system assembled at
+    /// `x` *at* `x` recovers the true nonlinear residual of the MNA
+    /// equations: the net KCL current error at every node (and the
+    /// voltage-law error of every branch equation), in amps.
     pub fn residual_inf(&self, x: &[f64]) -> f64 {
-        match &self.backend {
-            Backend::Dense(d) => d
-                .sys
-                .as_ref()
-                .expect("assemble() before residual_inf()")
-                .residual_inf(x),
-            Backend::Sparse(s) => {
-                let mut worst = 0.0f64;
-                for i in 0..self.dim {
-                    let (cols, vals) = s.mat.row(i);
-                    let mut ax = 0.0;
-                    for (c, v) in cols.iter().zip(vals) {
-                        ax += v * x[*c as usize];
-                    }
-                    worst = worst.max((ax - s.rhs[i]).abs());
-                }
-                worst
+        let mut worst = 0.0f64;
+        for i in 0..self.dim {
+            let (cols, vals) = self.mat.row(i);
+            let mut ax = 0.0;
+            for (c, v) in cols.iter().zip(vals) {
+                ax += v * x[*c as usize];
             }
+            worst = worst.max((ax - self.rhs[i]).abs());
         }
+        worst
     }
 
     /// Factorises the currently assembled matrix. The sparse backend
@@ -938,18 +593,25 @@ impl MnaWorkspace {
     /// has collapsed; the dense backend always factors from scratch.
     pub fn factor(&mut self) -> Result<(), SolveError> {
         match &mut self.backend {
-            Backend::Dense(d) => {
-                let sys = d.sys.as_ref().expect("assemble() before factor()");
-                let lu = LuFactor::new(&sys.matrix)?;
+            Backend::Dense { full, lu } => {
+                *lu = None;
+                full.clear();
+                for i in 0..self.dim {
+                    let (cols, vals) = self.mat.row(i);
+                    for (c, v) in cols.iter().zip(vals) {
+                        full[(i, *c as usize)] = *v;
+                    }
+                }
+                let f = LuFactor::new(full)?;
                 self.symbolic += 1;
-                self.swaps += displaced_rows(lu.permutation());
-                d.lu = Some(lu);
+                self.swaps += displaced_rows(f.permutation());
+                *lu = Some(f);
                 Ok(())
             }
-            Backend::Sparse(s) => {
-                if !s.force_symbolic {
-                    if let Some(lu) = s.lu.as_mut() {
-                        match lu.refactor(&s.mat) {
+            Backend::Sparse(lu) => {
+                if !self.force_symbolic {
+                    if let Some(l) = lu.as_mut() {
+                        match l.refactor(&self.mat) {
                             Ok(()) => {
                                 self.refactors += 1;
                                 return Ok(());
@@ -960,43 +622,155 @@ impl MnaWorkspace {
                         }
                     }
                 }
-                let lu = SparseLu::factor(&s.mat)?;
+                let f = SparseLu::factor(&self.mat)?;
                 self.symbolic += 1;
-                self.swaps += displaced_rows(lu.permutation());
-                s.lu = Some(lu);
-                s.force_symbolic = false;
+                self.swaps += displaced_rows(f.permutation());
+                *lu = Some(f);
+                self.force_symbolic = false;
                 Ok(())
             }
         }
     }
 
     /// Solves the factored system against the assembled RHS, writing into
-    /// `x` (cleared first; allocation-free once warm on the sparse
-    /// backend — the dense backend goes through the legacy allocating
-    /// [`LuFactor::solve`] to keep the seed's profile intact).
+    /// `x` (cleared first; allocation-free once warm).
     ///
     /// # Panics
     ///
     /// Panics if [`Self::factor`] has not succeeded since the last
     /// [`Self::assemble`].
     pub fn solve_into(&self, x: &mut Vec<f64>) -> Result<(), SolveError> {
+        const UNFACTORED: &str = "factor() must succeed before solve_into()";
         match &self.backend {
-            Backend::Dense(d) => {
-                let sys = d.sys.as_ref().expect("assemble() before solve_into()");
-                let v = d
-                    .lu
-                    .as_ref()
-                    .expect("factor() must succeed before solve_into()")
-                    .solve(&sys.rhs)?;
-                x.clear();
-                x.extend_from_slice(&v);
-                Ok(())
+            Backend::Dense { lu, .. } => lu.as_ref().expect(UNFACTORED).solve_into(&self.rhs, x),
+            Backend::Sparse(lu) => lu.as_ref().expect(UNFACTORED).solve_into(&self.rhs, x),
+        }
+    }
+
+    /// Ratio of the largest to the smallest pivot magnitude of the last
+    /// factorization — the near-singularity estimate of
+    /// [`LuFactor::pivot_ratio`] (and its sparse counterpart).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Self::factor`] has not succeeded yet.
+    pub fn pivot_ratio(&self) -> f64 {
+        const UNFACTORED: &str = "factor() must succeed before pivot_ratio()";
+        match &self.backend {
+            Backend::Dense { lu, .. } => lu.as_ref().expect(UNFACTORED).pivot_ratio(),
+            Backend::Sparse(lu) => lu.as_ref().expect(UNFACTORED).pivot_ratio(),
+        }
+    }
+
+    /// Rebuilds the static stamp snapshot and the dynamic-op plan. Runs
+    /// once per (mode, gmin, revision) change — i.e. per ladder rung, per
+    /// sweep point, or once per whole transient — and reuses all
+    /// buffers.
+    fn prepare(&mut self, nl: &Netlist, mode: &AssembleMode<'_>, gmin: f64) {
+        let mat = &self.mat;
+        let vals = &mut self.static_vals;
+        let ops = &mut self.dyn_ops;
+        vals.iter_mut().for_each(|v| *v = 0.0);
+        ops.clear();
+
+        for i in 0..self.nn {
+            let sl = mat.slot(i, i).expect("gmin diagonal missing from pattern");
+            vals[sl] += gmin;
+        }
+
+        fn stat_pair(mat: &SparseMatrix, vals: &mut [f64], i: u32, rb: u32, v: f64) {
+            stat_add(mat, vals, i, rb, v);
+            stat_add(mat, vals, rb, i, v);
+        }
+
+        let mut branch = self.nn as u32;
+        let mut cap = 0u32;
+        for (ei, e) in nl.elements().iter().enumerate() {
+            match e {
+                Element::Resistor { a, b, ohms, .. } => {
+                    let (p, n) = (uidx(*a), uidx(*b));
+                    Quad::resolve(mat, p, n, p, n).add(vals, 1.0 / ohms);
+                }
+                Element::Capacitor { a, b, farads, .. } => {
+                    if let AssembleMode::Transient { dt, method, .. } = mode {
+                        let geq = match method {
+                            Integrator::BackwardEuler => farads / dt,
+                            Integrator::Trapezoidal => 2.0 * farads / dt,
+                        };
+                        let (p, n) = (uidx(*a), uidx(*b));
+                        Quad::resolve(mat, p, n, p, n).add(vals, geq);
+                        ops.push(DynOp::Cap { geq, cap, p, n });
+                    }
+                    cap += 1;
+                }
+                Element::Vsource { p, n, .. } => {
+                    let rb = branch;
+                    branch += 1;
+                    stat_pair(mat, vals, uidx(*p), rb, 1.0);
+                    stat_pair(mat, vals, uidx(*n), rb, -1.0);
+                    ops.push(DynOp::SourceV {
+                        elem: ei as u32,
+                        rb,
+                    });
+                }
+                Element::Isource { p, n, .. } => {
+                    ops.push(DynOp::SourceI {
+                        elem: ei as u32,
+                        p: uidx(*p),
+                        n: uidx(*n),
+                    });
+                }
+                Element::Vcvs {
+                    p, n, cp, cn, gain, ..
+                } => {
+                    let rb = branch;
+                    branch += 1;
+                    stat_pair(mat, vals, uidx(*p), rb, 1.0);
+                    stat_pair(mat, vals, uidx(*n), rb, -1.0);
+                    stat_add(mat, vals, rb, uidx(*cp), -*gain);
+                    stat_add(mat, vals, rb, uidx(*cn), *gain);
+                }
+                Element::Vccs {
+                    p, n, cp, cn, gm, ..
+                } => {
+                    Quad::resolve(mat, uidx(*p), uidx(*n), uidx(*cp), uidx(*cn)).add(vals, *gm);
+                }
+                Element::Diode {
+                    p, n, is_sat, n_id, ..
+                } => {
+                    let (pi, ni) = (uidx(*p), uidx(*n));
+                    ops.push(DynOp::Diode {
+                        is_sat: *is_sat,
+                        n_id: *n_id,
+                        p: pi,
+                        n: ni,
+                        q: Quad::resolve(mat, pi, ni, pi, ni),
+                    });
+                }
+                Element::Mos { d, g, s, b, dev, .. } => {
+                    let (di, gi, si, bi) = (uidx(*d), uidx(*g), uidx(*s), uidx(*b));
+                    ops.push(DynOp::Mos {
+                        dev: *dev,
+                        d: di,
+                        g: gi,
+                        s: si,
+                        b: bi,
+                        qg: Quad::resolve(mat, di, si, gi, bi),
+                        qs: Quad::resolve(mat, di, si, si, bi),
+                        qd: Quad::resolve(mat, di, si, di, bi),
+                    });
+                }
+                Element::SclLoad { a, b, load, iss, .. } => {
+                    let (pi, ni) = (uidx(*a), uidx(*b));
+                    ops.push(DynOp::SclLoad {
+                        load: *load,
+                        iss: *iss,
+                        a: pi,
+                        b: ni,
+                        q: Quad::resolve(mat, pi, ni, pi, ni),
+                    });
+                }
             }
-            Backend::Sparse(s) => s
-                .lu
-                .as_ref()
-                .expect("factor() must succeed before solve_into()")
-                .solve_into(&s.rhs, x),
         }
     }
 }
@@ -1068,122 +842,6 @@ pub(crate) fn matrix_coords(nl: &Netlist) -> Vec<(u32, u32)> {
         }
     }
     coords
-}
-
-/// Rebuilds the static stamp snapshot and the dynamic-op plan. Runs once
-/// per (mode, gmin, revision) change — i.e. per ladder rung, per sweep
-/// point, or once per whole transient — and reuses all buffers.
-fn prepare_sparse(
-    s: &mut SparseWs,
-    nl: &Netlist,
-    mode: &AssembleMode<'_>,
-    gmin: f64,
-    nn: usize,
-) {
-    let mat = &s.mat;
-    let vals = &mut s.static_vals;
-    vals.iter_mut().for_each(|v| *v = 0.0);
-    s.dyn_ops.clear();
-
-    for i in 0..nn {
-        let sl = mat.slot(i, i).expect("gmin diagonal missing from pattern");
-        vals[sl] += gmin;
-    }
-
-    fn stat_pair(mat: &SparseMatrix, vals: &mut [f64], i: u32, rb: u32, v: f64) {
-        stat_add(mat, vals, i, rb, v);
-        stat_add(mat, vals, rb, i, v);
-    }
-
-    let mut branch = nn as u32;
-    let mut cap = 0u32;
-    for (ei, e) in nl.elements().iter().enumerate() {
-        match e {
-            Element::Resistor { a, b, ohms, .. } => {
-                let (p, n) = (uidx(*a), uidx(*b));
-                Quad::resolve(mat, p, n, p, n).add(vals, 1.0 / ohms);
-            }
-            Element::Capacitor { a, b, farads, .. } => {
-                if let AssembleMode::Transient { dt, method, .. } = mode {
-                    let geq = match method {
-                        Integrator::BackwardEuler => farads / dt,
-                        Integrator::Trapezoidal => 2.0 * farads / dt,
-                    };
-                    let (p, n) = (uidx(*a), uidx(*b));
-                    Quad::resolve(mat, p, n, p, n).add(vals, geq);
-                    s.dyn_ops.push(DynOp::Cap { geq, cap, p, n });
-                }
-                cap += 1;
-            }
-            Element::Vsource { p, n, .. } => {
-                let rb = branch;
-                branch += 1;
-                stat_pair(mat, vals, uidx(*p), rb, 1.0);
-                stat_pair(mat, vals, uidx(*n), rb, -1.0);
-                s.dyn_ops.push(DynOp::SourceV {
-                    elem: ei as u32,
-                    rb,
-                });
-            }
-            Element::Isource { p, n, .. } => {
-                s.dyn_ops.push(DynOp::SourceI {
-                    elem: ei as u32,
-                    p: uidx(*p),
-                    n: uidx(*n),
-                });
-            }
-            Element::Vcvs {
-                p, n, cp, cn, gain, ..
-            } => {
-                let rb = branch;
-                branch += 1;
-                stat_pair(mat, vals, uidx(*p), rb, 1.0);
-                stat_pair(mat, vals, uidx(*n), rb, -1.0);
-                stat_add(mat, vals, rb, uidx(*cp), -*gain);
-                stat_add(mat, vals, rb, uidx(*cn), *gain);
-            }
-            Element::Vccs {
-                p, n, cp, cn, gm, ..
-            } => {
-                Quad::resolve(mat, uidx(*p), uidx(*n), uidx(*cp), uidx(*cn)).add(vals, *gm);
-            }
-            Element::Diode {
-                p, n, is_sat, n_id, ..
-            } => {
-                let (pi, ni) = (uidx(*p), uidx(*n));
-                s.dyn_ops.push(DynOp::Diode {
-                    is_sat: *is_sat,
-                    n_id: *n_id,
-                    p: pi,
-                    n: ni,
-                    q: Quad::resolve(mat, pi, ni, pi, ni),
-                });
-            }
-            Element::Mos { d, g, s: src, b, dev, .. } => {
-                let (di, gi, si, bi) = (uidx(*d), uidx(*g), uidx(*src), uidx(*b));
-                s.dyn_ops.push(DynOp::Mos {
-                    dev: *dev,
-                    d: di,
-                    g: gi,
-                    s: si,
-                    b: bi,
-                    qg: Quad::resolve(mat, di, si, gi, bi),
-                    qs: Quad::resolve(mat, di, si, si, bi),
-                    qd: Quad::resolve(mat, di, si, di, bi),
-                });
-            }
-            Element::SclLoad { a, b, load, iss, .. } => {
-                let (pi, ni) = (uidx(*a), uidx(*b));
-                s.dyn_ops.push(DynOp::SclLoad {
-                    load: *load,
-                    iss: *iss,
-                    a: pi,
-                    b: ni,
-                    q: Quad::resolve(mat, pi, ni, pi, ni),
-                });
-            }
-        }
-    }
 }
 
 /// Replays the dynamic-op plan for candidate solution `x` — the only
@@ -1441,6 +1099,274 @@ mod tests {
     use super::*;
     use ulp_num::lu;
 
+    // -----------------------------------------------------------------
+    // Stamping oracle: the seed's element-by-element dense assembler,
+    // kept verbatim as the reference the compiled workspace program is
+    // pinned against.
+    // -----------------------------------------------------------------
+
+    /// Assembled real MNA system `A·x = b`.
+    #[derive(Debug, Clone)]
+    pub struct MnaSystem {
+        /// System matrix.
+        pub matrix: Matrix,
+        /// Right-hand side.
+        pub rhs: Vec<f64>,
+    }
+
+    impl MnaSystem {
+        /// ∞-norm of `A·x − b`.
+        ///
+        /// Because nonlinear elements are stamped as companion models
+        /// linearised about `x`, evaluating the assembled system at the
+        /// *same* `x` recovers the true nonlinear residual of the MNA
+        /// equations: the net KCL current error at every node (and the
+        /// voltage-law error of every branch equation), in amps.
+        pub fn residual_inf(&self, x: &[f64]) -> f64 {
+            self.matrix
+                .mul_vec(x)
+                .iter()
+                .zip(&self.rhs)
+                .map(|(ax, b)| (ax - b).abs())
+                .fold(0.0, f64::max)
+        }
+    }
+
+    /// Row/column index of a node in the MNA system (`None` for ground).
+    fn idx(node: Node) -> Option<usize> {
+        if node.is_ground() {
+            None
+        } else {
+            Some(node.index() - 1)
+        }
+    }
+
+    struct Stamper<'m> {
+        a: &'m mut Matrix,
+        b: &'m mut Vec<f64>,
+    }
+
+    impl Stamper<'_> {
+        fn conductance(&mut self, p: Node, n: Node, g: f64) {
+            if let Some(i) = idx(p) {
+                self.a[(i, i)] += g;
+                if let Some(j) = idx(n) {
+                    self.a[(i, j)] -= g;
+                }
+            }
+            if let Some(j) = idx(n) {
+                self.a[(j, j)] += g;
+                if let Some(i) = idx(p) {
+                    self.a[(j, i)] -= g;
+                }
+            }
+        }
+
+        /// Transconductance: current `gm·(V(cp) − V(cn))` leaves `p`, enters
+        /// `n`.
+        fn transconductance(&mut self, p: Node, n: Node, cp: Node, cn: Node, gm: f64) {
+            for (out, sign) in [(p, 1.0), (n, -1.0)] {
+                if let Some(r) = idx(out) {
+                    if let Some(c) = idx(cp) {
+                        self.a[(r, c)] += sign * gm;
+                    }
+                    if let Some(c) = idx(cn) {
+                        self.a[(r, c)] -= sign * gm;
+                    }
+                }
+            }
+        }
+
+        /// Constant current `i` leaving node `p` and entering node `n`.
+        fn current(&mut self, p: Node, n: Node, i: f64) {
+            if let Some(r) = idx(p) {
+                self.b[r] -= i;
+            }
+            if let Some(r) = idx(n) {
+                self.b[r] += i;
+            }
+        }
+    }
+
+    /// Assembles the real MNA system for the given candidate solution `x`.
+    ///
+    /// `gmin` siemens are added from every non-ground node to ground
+    /// (convergence aid, SPICE-standard).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from [`Netlist::unknown_count`], or if a
+    /// transient mode is supplied with mismatched state-vector lengths.
+    pub fn assemble(
+        nl: &Netlist,
+        tech: &Technology,
+        x: &[f64],
+        mode: AssembleMode<'_>,
+        gmin: f64,
+    ) -> MnaSystem {
+        let dim = nl.unknown_count();
+        let mut matrix = Matrix::zeros(dim, dim);
+        let mut rhs = vec![0.0; dim];
+        assemble_into(nl, tech, x, mode, gmin, &mut matrix, &mut rhs);
+        MnaSystem { matrix, rhs }
+    }
+
+    /// [`assemble`] writing into caller-owned buffers (resized and cleared
+    /// first). Stamp order is identical to [`assemble`], so the resulting
+    /// system is bitwise equal.
+    pub fn assemble_into(
+        nl: &Netlist,
+        tech: &Technology,
+        x: &[f64],
+        mode: AssembleMode<'_>,
+        gmin: f64,
+        matrix: &mut Matrix,
+        rhs: &mut Vec<f64>,
+    ) {
+        let nn = nl.node_count() - 1;
+        let dim = nl.unknown_count();
+        assert_eq!(x.len(), dim, "candidate solution has wrong dimension");
+        if matrix.rows() != dim || matrix.cols() != dim {
+            *matrix = Matrix::zeros(dim, dim);
+        } else {
+            matrix.clear();
+        }
+        rhs.clear();
+        rhs.resize(dim, 0.0);
+        let mut st = Stamper {
+            a: matrix,
+            b: rhs,
+        };
+
+        // gmin from every node to ground.
+        for i in 0..nn {
+            st.a[(i, i)] += gmin;
+        }
+
+        let mut branch = nn; // next branch row
+        let mut cap_index = 0usize;
+        let time = match mode {
+            AssembleMode::Dc => 0.0,
+            AssembleMode::Transient { time, .. } => time,
+        };
+
+        for e in nl.elements() {
+            match e {
+                Element::Resistor { a, b, ohms, .. } => st.conductance(*a, *b, 1.0 / ohms),
+                Element::Capacitor { a, b, farads, .. } => {
+                    if let AssembleMode::Transient {
+                        dt,
+                        prev,
+                        cap_currents,
+                        method,
+                        ..
+                    } = mode
+                    {
+                        let v_prev = voltage_of(prev, *a) - voltage_of(prev, *b);
+                        match method {
+                            Integrator::BackwardEuler => {
+                                let geq = farads / dt;
+                                st.conductance(*a, *b, geq);
+                                // i = geq·v − geq·v_prev ⇒ constant part −geq·v_prev
+                                st.current(*a, *b, -geq * v_prev);
+                            }
+                            Integrator::Trapezoidal => {
+                                let geq = 2.0 * farads / dt;
+                                let i_prev = cap_currents[cap_index];
+                                st.conductance(*a, *b, geq);
+                                st.current(*a, *b, -(geq * v_prev + i_prev));
+                            }
+                        }
+                    }
+                    cap_index += 1;
+                }
+                Element::Vsource { p, n, wave, .. } => {
+                    let rb = branch;
+                    branch += 1;
+                    if let Some(i) = idx(*p) {
+                        st.a[(i, rb)] += 1.0;
+                        st.a[(rb, i)] += 1.0;
+                    }
+                    if let Some(j) = idx(*n) {
+                        st.a[(j, rb)] -= 1.0;
+                        st.a[(rb, j)] -= 1.0;
+                    }
+                    st.b[rb] = wave.at(time);
+                }
+                Element::Isource { p, n, wave, .. } => {
+                    st.current(*p, *n, wave.at(time));
+                }
+                Element::Vcvs {
+                    p, n, cp, cn, gain, ..
+                } => {
+                    let rb = branch;
+                    branch += 1;
+                    if let Some(i) = idx(*p) {
+                        st.a[(i, rb)] += 1.0;
+                        st.a[(rb, i)] += 1.0;
+                    }
+                    if let Some(j) = idx(*n) {
+                        st.a[(j, rb)] -= 1.0;
+                        st.a[(rb, j)] -= 1.0;
+                    }
+                    if let Some(c) = idx(*cp) {
+                        st.a[(rb, c)] -= gain;
+                    }
+                    if let Some(c) = idx(*cn) {
+                        st.a[(rb, c)] += gain;
+                    }
+                }
+                Element::Vccs {
+                    p, n, cp, cn, gm, ..
+                } => st.transconductance(*p, *n, *cp, *cn, *gm),
+                Element::Diode {
+                    p, n, is_sat, n_id, ..
+                } => {
+                    let v = voltage_of(x, *p) - voltage_of(x, *n);
+                    let vt = n_id * tech.thermal_voltage();
+                    // Clamp the exponent to keep the companion model finite;
+                    // Newton's voltage limiting does the rest.
+                    let arg = (v / vt).min(40.0);
+                    let ex = arg.exp();
+                    let i = is_sat * (ex - 1.0);
+                    let g = (is_sat / vt * ex).max(1e-18);
+                    st.conductance(*p, *n, g);
+                    st.current(*p, *n, i - g * v);
+                }
+                Element::Mos { d, g, s, b, dev, .. } => {
+                    let vb = voltage_of(x, *b);
+                    let vg = voltage_of(x, *g) - vb;
+                    let vs = voltage_of(x, *s) - vb;
+                    let vd = voltage_of(x, *d) - vb;
+                    let op = dev.operating_point(tech, vg, vs, vd);
+                    // Signed drain-terminal current (leaving node d through
+                    // the channel): +id for NMOS, −id for PMOS. In both
+                    // cases its derivatives w.r.t. the *physical*
+                    // bulk-referred voltages equal the reflected-model
+                    // values (two sign flips cancel).
+                    let i_dt = match dev.polarity {
+                        ulp_device::Polarity::Nmos => op.id,
+                        ulp_device::Polarity::Pmos => -op.id,
+                    };
+                    let (gm, gms, gds) = (op.gm, op.gms, op.gds);
+                    // Stamp ∂I/∂V terms: row d positive, row s negative.
+                    st.transconductance(*d, *s, *g, *b, gm);
+                    st.transconductance(*d, *s, *s, *b, gms);
+                    st.transconductance(*d, *s, *d, *b, gds);
+                    let i_eq = i_dt - gm * vg - gms * vs - gds * vd;
+                    st.current(*d, *s, i_eq);
+                }
+                Element::SclLoad { a, b, load, iss, .. } => {
+                    let v = voltage_of(x, *a) - voltage_of(x, *b);
+                    let i = load.current(v, *iss);
+                    let g = load.conductance(v, *iss).max(1e-18);
+                    st.conductance(*a, *b, g);
+                    st.current(*a, *b, i - g * v);
+                }
+            }
+        }
+    }
+
     fn solve_linear(nl: &Netlist, tech: &Technology) -> Vec<f64> {
         let x0 = vec![0.0; nl.unknown_count()];
         let sys = assemble(nl, tech, &x0, AssembleMode::Dc, 1e-12);
@@ -1501,41 +1427,8 @@ mod tests {
     }
 
     #[test]
-    fn solver_from_str_accepts_each_kind() {
-        assert_eq!(solver_from_str("auto"), Ok(SolverKind::Auto));
-        assert_eq!(solver_from_str("dense"), Ok(SolverKind::Dense));
-        assert_eq!(solver_from_str("sparse"), Ok(SolverKind::Sparse));
-    }
-
-    #[test]
-    fn solver_from_str_rejects_unknown_values() {
-        let err = solver_from_str("Dense").unwrap_err();
-        assert_eq!(
-            err,
-            SolverEnvError::Unknown {
-                value: "Dense".to_string()
-            }
-        );
-        assert_eq!(
-            err.to_string(),
-            "ULP_SOLVER: unknown solver `Dense` (expected `auto`, `dense` or `sparse`)"
-        );
-        assert!(solver_from_str("cholesky").is_err());
-        assert!(solver_from_str(" dense").is_err());
-    }
-
-    #[test]
-    fn solver_from_str_rejects_empty() {
-        assert_eq!(solver_from_str("").unwrap_err(), SolverEnvError::Empty);
-        assert_eq!(
-            SolverEnvError::Empty.to_string(),
-            "ULP_SOLVER: empty value (expected `auto`, `dense` or `sparse`, or unset)"
-        );
-    }
-
-    #[test]
     fn explicit_kinds_resolve_without_consulting_the_environment() {
-        // Dense/Sparse never read ULP_SOLVER, at any dimension.
+        // Explicit kinds win at any dimension.
         assert_eq!(SolverKind::Dense.resolve(1000), SolverKind::Dense);
         assert_eq!(SolverKind::Sparse.resolve(1), SolverKind::Sparse);
     }
@@ -1601,15 +1494,89 @@ mod tests {
         out
     }
 
+    /// One netlist holding every element kind — R, C, V, I, E, G, D, M
+    /// and the STSCL load — each with a terminal on ground, plus two
+    /// capacitors so the trapezoidal history is indexed per capacitor.
+    fn every_element_netlist() -> Netlist {
+        use ulp_device::Polarity;
+        let mut nl = Netlist::new();
+        let vdd = nl.node("vdd");
+        let inp = nl.node("in");
+        let out = nl.node("out");
+        let mid = nl.node("mid");
+        let amp = nl.node("amp");
+        nl.vsource("VDD", vdd, Netlist::GROUND, 1.0);
+        nl.vsource("VIN", inp, Netlist::GROUND, 0.4);
+        nl.resistor("R1", inp, mid, 2e5);
+        nl.capacitor("C1", mid, Netlist::GROUND, 1e-12);
+        nl.isource("I1", Netlist::GROUND, mid, 3e-9);
+        nl.vcvs("E1", amp, Netlist::GROUND, mid, Netlist::GROUND, 2.5);
+        nl.vccs("G1", out, Netlist::GROUND, amp, Netlist::GROUND, 1e-9);
+        nl.diode("D1", mid, Netlist::GROUND, 1e-15, 1.2);
+        let dev = Mosfet::new(Polarity::Nmos, 2e-6, 1e-6);
+        nl.mosfet("M1", out, inp, Netlist::GROUND, Netlist::GROUND, dev);
+        nl.scl_load("RL", vdd, out, PmosLoad::new(0.2), 1e-9);
+        nl.capacitor("CL", out, vdd, 5e-15);
+        nl
+    }
+
     #[test]
-    fn workspace_dense_is_bitwise_identical_to_assemble() {
-        let nl = diode_netlist();
+    fn stamping_matches_the_seed_assembler_on_every_element_kind() {
+        let nl = every_element_netlist();
         let tech = Technology::default();
-        let x = vec![0.1, 0.2, -1e-5];
-        let sys = assemble(&nl, &tech, &x, AssembleMode::Dc, 1e-12);
-        let reference = lu::solve(&sys.matrix, &sys.rhs).expect("linear solve");
-        let ws = ws_solve(&nl, SolverKind::Dense, &x);
-        assert_eq!(reference, ws);
+        let dim = nl.unknown_count();
+        // A nonzero iterate, and a different previous timepoint, so every
+        // companion model and capacitor history term is exercised.
+        let x: Vec<f64> = (0..dim).map(|i| 0.05 + 0.11 * i as f64).collect();
+        let prev: Vec<f64> = (0..dim).map(|i| 0.3 - 0.07 * i as f64).collect();
+        let cap_i = [2e-10, -4e-10];
+        let tran = |method| AssembleMode::Transient {
+            time: 3e-7,
+            dt: 1e-8,
+            prev: &prev,
+            cap_currents: &cap_i,
+            method,
+        };
+        let modes = [
+            AssembleMode::Dc,
+            tran(Integrator::BackwardEuler),
+            tran(Integrator::Trapezoidal),
+        ];
+        for solver in [SolverKind::Dense, SolverKind::Sparse] {
+            let mut ws = MnaWorkspace::new(&nl, solver);
+            for mode in modes {
+                for gmin in [1e-12, 1e-5] {
+                    let oracle = assemble(&nl, &tech, &x, mode, gmin);
+                    ws.assemble(&nl, &tech, &x, mode, gmin);
+                    let ctx = format!("{solver:?} {mode:?} gmin {gmin:e}");
+                    let got = ws.mat.to_dense();
+                    let mut worst_scale = 0.0f64;
+                    for i in 0..dim {
+                        let row = oracle.matrix.row(i);
+                        let scale = row.iter().fold(oracle.rhs[i].abs(), |m, v| m.max(v.abs()));
+                        worst_scale = worst_scale.max(scale);
+                        let tol = 1e-14 * scale;
+                        for (j, want) in row.iter().enumerate() {
+                            let d = (got[(i, j)] - want).abs();
+                            assert!(d <= tol, "{ctx}: A[{i},{j}] off by {d:e}");
+                        }
+                        let d = (ws.rhs[i] - oracle.rhs[i]).abs();
+                        assert!(d <= tol, "{ctx}: b[{i}] off by {d:e}");
+                    }
+                    let (r_ws, r_seed) = (ws.residual_inf(&x), oracle.residual_inf(&x));
+                    assert!(
+                        (r_ws - r_seed).abs() <= 1e-13 * worst_scale,
+                        "{ctx}: residual {r_ws:e} vs {r_seed:e}"
+                    );
+                    // The dense backend factors exactly the assembled
+                    // values, scattered into its full matrix.
+                    ws.factor().expect("factor");
+                    if let Backend::Dense { full, .. } = &ws.backend {
+                        assert_eq!(full, &got, "{ctx}: dense scatter");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

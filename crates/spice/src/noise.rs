@@ -17,9 +17,10 @@
 //! Independent sources are quiet (their AC magnitudes are ignored
 //! here).
 
+use crate::ac::stamp_ac;
 use crate::dcop::DcOperatingPoint;
 use crate::error::SimError;
-use crate::mna::voltage_of;
+use crate::mna::{require_unknowns, voltage_of};
 use crate::netlist::{Element, Netlist, Node};
 use crate::telemetry::{self, Event, Tracer};
 use std::time::Instant;
@@ -128,115 +129,6 @@ fn noise_sources(nl: &Netlist, tech: &Technology, op: &DcOperatingPoint) -> Vec<
     out
 }
 
-/// Builds the small-signal MNA matrix at one frequency (identical to
-/// the AC analysis stamps, sources quiet).
-fn small_signal_matrix(
-    nl: &Netlist,
-    tech: &Technology,
-    op: &DcOperatingPoint,
-    freq: f64,
-) -> ComplexMatrix {
-    let nn = nl.node_count() - 1;
-    let dim = nl.unknown_count();
-    let omega = 2.0 * std::f64::consts::PI * freq;
-    let x = op.solution();
-    let mut m = ComplexMatrix::zeros(dim, dim);
-    let idx = |node: Node| -> Option<usize> {
-        if node.is_ground() {
-            None
-        } else {
-            Some(node.index() - 1)
-        }
-    };
-    let admittance = |mm: &mut ComplexMatrix, p: Node, n: Node, y: Complex| {
-        if let Some(i) = idx(p) {
-            mm[(i, i)] += y;
-            if let Some(j) = idx(n) {
-                mm[(i, j)] -= y;
-            }
-        }
-        if let Some(j) = idx(n) {
-            mm[(j, j)] += y;
-            if let Some(i) = idx(p) {
-                mm[(j, i)] -= y;
-            }
-        }
-    };
-    let transconductance = |mm: &mut ComplexMatrix, p: Node, n: Node, cp: Node, cn: Node, gm: f64| {
-        for (out, sign) in [(p, 1.0), (n, -1.0)] {
-            if let Some(r) = idx(out) {
-                if let Some(c) = idx(cp) {
-                    mm[(r, c)] += Complex::from_re(sign * gm);
-                }
-                if let Some(c) = idx(cn) {
-                    mm[(r, c)] -= Complex::from_re(sign * gm);
-                }
-            }
-        }
-    };
-    for i in 0..nn {
-        m[(i, i)] += Complex::from_re(1e-15);
-    }
-    let mut branch = nn;
-    for e in nl.elements() {
-        match e {
-            Element::Resistor { a, b, ohms, .. } => {
-                admittance(&mut m, *a, *b, Complex::from_re(1.0 / ohms));
-            }
-            Element::Capacitor { a, b, farads, .. } => {
-                admittance(&mut m, *a, *b, Complex::new(0.0, omega * farads));
-            }
-            Element::Vsource { p, n, .. } | Element::Vcvs { p, n, .. } => {
-                let rb = branch;
-                branch += 1;
-                if let Some(i) = idx(*p) {
-                    m[(i, rb)] += Complex::ONE;
-                    m[(rb, i)] += Complex::ONE;
-                }
-                if let Some(j) = idx(*n) {
-                    m[(j, rb)] -= Complex::ONE;
-                    m[(rb, j)] -= Complex::ONE;
-                }
-                if let Element::Vcvs { cp, cn, gain, .. } = e {
-                    if let Some(c) = idx(*cp) {
-                        m[(rb, c)] -= Complex::from_re(*gain);
-                    }
-                    if let Some(c) = idx(*cn) {
-                        m[(rb, c)] += Complex::from_re(*gain);
-                    }
-                }
-            }
-            Element::Isource { .. } => {}
-            Element::Vccs { p, n, cp, cn, gm, .. } => {
-                transconductance(&mut m, *p, *n, *cp, *cn, *gm);
-            }
-            Element::Diode { p, n, is_sat, n_id, .. } => {
-                let v = voltage_of(op.solution(), *p) - voltage_of(op.solution(), *n);
-                let vt = n_id * tech.thermal_voltage();
-                let g = (is_sat / vt * (v / vt).min(40.0).exp()).max(1e-18);
-                admittance(&mut m, *p, *n, Complex::from_re(g));
-            }
-            Element::Mos { d, g, s, b, dev, .. } => {
-                let vb = voltage_of(x, *b);
-                let mos = dev.operating_point(
-                    tech,
-                    voltage_of(x, *g) - vb,
-                    voltage_of(x, *s) - vb,
-                    voltage_of(x, *d) - vb,
-                );
-                transconductance(&mut m, *d, *s, *g, *b, mos.gm);
-                transconductance(&mut m, *d, *s, *s, *b, mos.gms);
-                transconductance(&mut m, *d, *s, *d, *b, mos.gds);
-            }
-            Element::SclLoad { a, b, load, iss, .. } => {
-                let v = voltage_of(x, *a) - voltage_of(x, *b);
-                admittance(&mut m, *a, *b, Complex::from_re(load.conductance(v, *iss).max(1e-18)));
-            }
-        }
-    }
-    m
-}
-
 /// Runs the noise analysis: output-referred noise at `output` over the
 /// frequency sweep `freqs` (must be ascending for the integration).
 ///
@@ -279,16 +171,22 @@ pub fn noise_analysis_traced(
             "output node must not be ground".to_string(),
         ));
     }
+    require_unknowns(nl)?;
     let sources = noise_sources(nl, tech, op);
     let dim = nl.unknown_count();
     let out_idx = output.index() - 1;
+    // The small-signal matrix and the (ignored) AC source vector of the
+    // shared stamper, reused across frequencies.
+    let mut m = ComplexMatrix::zeros(dim, dim);
+    let mut ac_rhs = vec![Complex::ZERO; dim];
     let mut output_psd = Vec::with_capacity(freqs.len());
     // Per-source PSD at each frequency for the contribution integrals.
     let mut per_source: Vec<Vec<f64>> = vec![Vec::with_capacity(freqs.len()); sources.len()];
     let enabled = tracer.enabled();
     for (fi, &f) in freqs.iter().enumerate() {
         let t0 = enabled.then(Instant::now);
-        let m = small_signal_matrix(nl, tech, op, f);
+        m.clear();
+        stamp_ac(nl, tech, op.solution(), 2.0 * std::f64::consts::PI * f, &mut m, &mut ac_rhs);
         let lu = ComplexLuFactor::new(&m)?;
         let mut total = 0.0;
         for (k, src) in sources.iter().enumerate() {

@@ -351,12 +351,18 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let s = std::str::from_utf8(&b[*pos..])
+                // Copy the whole run up to the next quote or backslash.
+                // Both are ASCII, so the run of a `&str`'s bytes ends on
+                // a character boundary, and validating it costs only its
+                // own length.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |k| *pos + k);
+                let run = std::str::from_utf8(&b[*pos..end])
                     .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -576,5 +582,23 @@ mod tests {
         assert!(parse_json("{\"unterminated\": ").is_err());
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("{} trailing").is_err());
+    }
+
+    #[test]
+    fn json_strings_keep_multibyte_and_escaped_characters() {
+        // Multi-byte scalars next to escapes, at both ends of a string and
+        // inside a key: each run between escapes is copied whole.
+        let v = parse_json(r#"{"µΩ": "±1 µA → 5 Ω\"q\"\\\u00b5x", "k": "\n"}"#).unwrap();
+        assert_eq!(
+            v.get("µΩ").and_then(JsonValue::as_str),
+            Some("±1 µA → 5 Ω\"q\"\\µx")
+        );
+        assert_eq!(v.get("k").and_then(JsonValue::as_str), Some("\n"));
+        assert_eq!(parse_json(r#""""#).unwrap(), JsonValue::Str(String::new()));
+        assert!(parse_json("\"µ no end").is_err());
+        // A string escaped by the exporter reads back as the original.
+        let raw = "tab\t quote\" slash\\ ctrl\u{1} µ";
+        let doc = format!("[\"{}\"]", escape(raw));
+        assert_eq!(parse_json(&doc).unwrap().idx(0).and_then(JsonValue::as_str), Some(raw));
     }
 }

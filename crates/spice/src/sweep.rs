@@ -7,7 +7,7 @@
 
 use crate::dcop::{newton_solve_gmin_stepping_into, NewtonOptions};
 use crate::error::SimError;
-use crate::mna::{voltage_of, AssembleMode, MnaWorkspace};
+use crate::mna::{require_unknowns, voltage_of, AssembleMode, MnaWorkspace};
 use crate::netlist::{Element, Netlist, Node, Waveform};
 use crate::telemetry::{self, Event, Tracer};
 use std::time::Instant;
@@ -93,10 +93,10 @@ impl Netlist {
 /// solution at each point.
 ///
 /// Runs the electrical rule check ([`crate::erc::gate`]) once on the
-/// netlist before the first point; use [`dc_sweep_unchecked`] to bypass.
-/// The clean verdict is memoised per netlist revision, so driver code
-/// that calls several analyses on one unchanged netlist pays for the
-/// structural traversal exactly once across all of them.
+/// netlist before the first point. The clean verdict is memoised per
+/// netlist revision, so driver code that calls several analyses on one
+/// unchanged netlist pays for the structural traversal exactly once
+/// across all of them.
 ///
 /// # Errors
 ///
@@ -124,25 +124,7 @@ pub fn dc_sweep_with(
     values: &[f64],
     opts: &NewtonOptions,
 ) -> Result<SweepResult, SimError> {
-    crate::erc::gate(nl)?;
-    dc_sweep_unchecked(nl, tech, source, values, opts)
-}
-
-/// [`dc_sweep_with`] without the electrical rule check — the escape
-/// hatch for deliberately degenerate netlists.
-///
-/// # Errors
-///
-/// [`SimError::NotFound`] for an unknown source; otherwise any Newton
-/// failure at a sweep point.
-pub fn dc_sweep_unchecked(
-    nl: &Netlist,
-    tech: &Technology,
-    source: &str,
-    values: &[f64],
-    opts: &NewtonOptions,
-) -> Result<SweepResult, SimError> {
-    telemetry::with_tracer(|tracer| dc_sweep_traced_unchecked(nl, tech, source, values, opts, tracer))
+    telemetry::with_tracer(|tracer| dc_sweep_traced(nl, tech, source, values, opts, tracer))
 }
 
 /// [`dc_sweep_with`] recording telemetry on the given tracer: one
@@ -161,22 +143,7 @@ pub fn dc_sweep_traced(
     tracer: &mut dyn Tracer,
 ) -> Result<SweepResult, SimError> {
     crate::erc::gate(nl)?;
-    dc_sweep_traced_unchecked(nl, tech, source, values, opts, tracer)
-}
-
-/// [`dc_sweep_traced`] without the rule check.
-///
-/// # Errors
-///
-/// As for [`dc_sweep_unchecked`].
-pub fn dc_sweep_traced_unchecked(
-    nl: &Netlist,
-    tech: &Technology,
-    source: &str,
-    values: &[f64],
-    opts: &NewtonOptions,
-    tracer: &mut dyn Tracer,
-) -> Result<SweepResult, SimError> {
+    require_unknowns(nl)?;
     let mut work = nl.clone();
     // Validate the source exists up front.
     work.set_source(source, values.first().copied().unwrap_or(0.0))?;

@@ -8,9 +8,9 @@
 //! transient steps, per-frequency and per-sweep-point records, LU stats
 //! and wall-clock timing. Two consumers exist:
 //!
-//! * a caller-supplied [`Tracer`] passed to the `*_traced` twin of each
-//!   analysis entry point (mirroring the `solve`/`solve_unchecked` twin
-//!   pattern) — typically a [`MetricsCollector`];
+//! * a caller-supplied [`Tracer`] passed to the `*_traced` form of each
+//!   analysis entry point (`X` itself is `X_traced` run on the
+//!   collector below) — typically a [`MetricsCollector`];
 //! * a process-global collector installed from the `ULP_TRACE`
 //!   environment variable (`summary` aggregates only, `events`
 //!   additionally keeps the full event log for JSONL export), which the
@@ -1865,6 +1865,24 @@ mod tests {
             .is_err(),
             "only complete events"
         );
+    }
+
+    #[test]
+    fn chrome_trace_with_20k_spans_validates() {
+        // The JSON reader is linear in the document: a trace far larger
+        // than any campaign writes still validates quickly.
+        let spans: Vec<SpanEvent> = (0..20_000)
+            .map(|k| SpanEvent {
+                cat: "trial",
+                name: format!("trial µ{k}"),
+                trial: Some(k),
+                worker: k % 4,
+                start_us: k as f64 * 2.5,
+                dur_us: 2.0,
+            })
+            .collect();
+        let doc = render_chrome_trace(&spans);
+        assert_eq!(validate_chrome_trace(&doc).unwrap(), 20_000);
     }
 
     #[test]

@@ -148,3 +148,27 @@ fn sweeps_run_identically_at_one_and_four_workers() {
         assert_eq!(ledger1, ledger4, "{name}: ledger bytes depend on jobs");
     }
 }
+
+#[test]
+fn empty_deck_is_a_typed_error_in_every_analysis() {
+    use ulp_spice::tran::{AdaptiveOptions, TranOptions, Transient};
+    use ulp_spice::{Netlist, SimError};
+    // An empty deck parses and flattens to a netlist with no unknowns;
+    // every analysis must refuse it with a typed error, not a panic.
+    let design = parse("* empty\n.end\n").expect("empty deck parses");
+    let nl = flatten(&design).expect("empty deck flattens");
+    assert_eq!(nl.unknown_count(), 0);
+    let tech = Technology::default();
+    for nl in [nl, Netlist::new()] {
+        let dc = DcOperatingPoint::solve(&nl, &tech).map(|_| ());
+        let fixed = Transient::run(&nl, &tech, &TranOptions::new(1e-6, 1e-8)).map(|_| ());
+        let adaptive =
+            Transient::run_adaptive(&nl, &tech, &AdaptiveOptions::new(1e-6, 1e-7)).map(|_| ());
+        for (analysis, r) in [("dcop", dc), ("tran", fixed), ("adaptive tran", adaptive)] {
+            match r {
+                Err(e @ SimError::EmptyNetlist) => assert!(e.to_string().contains("hint:")),
+                other => panic!("{analysis}: expected EmptyNetlist, got {other:?}"),
+            }
+        }
+    }
+}
