@@ -27,7 +27,7 @@
 //!
 //! `--stability PATH` skips all timed workloads and writes only the
 //! deterministic adaptive artifact to PATH; CI compares it byte-for-
-//! byte against the full run's `BENCH_tran_adaptive.json`.
+//! byte against the committed `BENCH_tran_adaptive.json`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -184,7 +184,7 @@ fn adaptive_row(name: &str, nl: &Netlist, tech: &Technology, timed: bool) -> Ada
     let mut mc = MetricsCollector::new(TraceMode::Summary);
     let adaptive =
         Transient::run_adaptive_traced(&driven, tech, &adaptive_opts, &mut mc).expect("adaptive tran");
-    let m = mc.metrics();
+    let m = mc.metrics().counters();
 
     let (fixed_s, adaptive_s) = if timed {
         (

@@ -30,8 +30,7 @@ use ulp_device::Technology;
 use ulp_spice::absint::{self, CertifyOptions, Verdict};
 use ulp_spice::lint::LintConfig;
 use ulp_spice::registry::{self, Registry};
-use ulp_spice::sarif;
-use ulp_spice::{ErcReport, Severity};
+use ulp_spice::{json, sarif, ErcReport, Severity};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -113,11 +112,11 @@ fn main() {
     let sarif_path = dir.join("certify.sarif");
     std::fs::write(&sarif_path, &sarif_text).expect("write certify.sarif");
     if check {
-        let doc = sarif::parse_json(&sarif_text).unwrap_or_else(|e| {
+        let doc = json::parse_json(&sarif_text).unwrap_or_else(|e| {
             panic!("{}: emitted SARIF does not parse: {e}", sarif_path.display())
         });
         assert_eq!(
-            doc.get("version").and_then(sarif::JsonValue::as_str),
+            doc.get("version").and_then(json::JsonValue::as_str),
             Some(sarif::VERSION),
             "{}: bad SARIF version",
             sarif_path.display()

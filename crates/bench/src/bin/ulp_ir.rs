@@ -33,8 +33,7 @@ use ulp_ir::{flatten, parse, Design, SweepError, SweepPlan};
 use ulp_spice::dcop::{DcOperatingPoint, NewtonOptions};
 use ulp_spice::lint::{self, LintConfig, LintContext};
 use ulp_spice::netlist::Element;
-use ulp_spice::sarif;
-use ulp_spice::{absint, ErcReport, Netlist, Severity};
+use ulp_spice::{absint, json, sarif, ErcReport, Netlist, Severity};
 
 /// A timestep resolving the fastest RC by 10 points per τ (mirrors
 /// `ulp_lint`), so the `rc-time-step` rule is exercised and clean.
@@ -210,11 +209,11 @@ fn main() {
         let path = dir.join(format!("{name}.sarif"));
         std::fs::write(&path, &sarif_text).expect("write sarif");
         if check {
-            let doc = sarif::parse_json(&sarif_text).unwrap_or_else(|e| {
+            let doc = json::parse_json(&sarif_text).unwrap_or_else(|e| {
                 panic!("{}: emitted SARIF does not parse: {e}", path.display())
             });
             assert_eq!(
-                doc.get("version").and_then(sarif::JsonValue::as_str),
+                doc.get("version").and_then(json::JsonValue::as_str),
                 Some(sarif::VERSION),
                 "{}: bad SARIF version",
                 path.display()

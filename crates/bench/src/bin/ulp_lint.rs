@@ -25,8 +25,7 @@ use ulp_device::Technology;
 use ulp_spice::dcop::{DcOperatingPoint, NewtonOptions};
 use ulp_spice::lint::{self, LintConfig, LintContext};
 use ulp_spice::netlist::Element;
-use ulp_spice::sarif;
-use ulp_spice::{ErcReport, Netlist, Severity};
+use ulp_spice::{json, sarif, ErcReport, Netlist, Severity};
 
 /// A timestep resolving the fastest RC in `nl` by a comfortable margin
 /// (10 points per τ), mirroring the lint's own r/c scan so the
@@ -114,10 +113,10 @@ fn main() {
         let path = dir.join(format!("{name}.sarif"));
         std::fs::write(&path, &sarif_text).expect("write sarif");
         if check {
-            let doc = sarif::parse_json(&sarif_text)
+            let doc = json::parse_json(&sarif_text)
                 .unwrap_or_else(|e| panic!("{}: emitted SARIF does not parse: {e}", path.display()));
             assert_eq!(
-                doc.get("version").and_then(sarif::JsonValue::as_str),
+                doc.get("version").and_then(json::JsonValue::as_str),
                 Some(sarif::VERSION),
                 "{}: bad SARIF version",
                 path.display()

@@ -2,9 +2,9 @@
 //!
 //! Each binary in `src/bin/` regenerates one figure or the implicit
 //! chip-summary table of the paper (see DESIGN.md's per-experiment
-//! index) and prints the series in a uniform, diff-friendly format; the
-//! Criterion benches in `benches/` time the computational core of each
-//! experiment.
+//! index) and prints the series in a uniform, diff-friendly format. The
+//! one Criterion bench in `benches/`, `exec_scaling`, times a 64-die
+//! yield campaign serially and on four workers.
 
 use std::fmt::Display;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,7 +44,7 @@ pub fn result(name: &str, value: f64, unit: &str) {
 pub fn paper_check(name: &str, ours: f64, paper: f64, unit: &str) {
     let ratio = ours / paper;
     print!("  {name}: ours = {ours:.3e} {unit}, paper = {paper:.3e} {unit} (ratio {ratio:.2})");
-    if let Some(m) = ulp_spice::telemetry::snapshot() {
+    if let Some(m) = ulp_spice::telemetry::snapshot().map(|m| m.counters()) {
         let iters = m.newton_iterations - LAST_ITERS.swap(m.newton_iterations, Ordering::Relaxed);
         let attempts = m.attempts - LAST_ATTEMPTS.swap(m.attempts, Ordering::Relaxed);
         let per_point = if attempts == 0 {

@@ -24,6 +24,7 @@
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
+use ulp_spice::json;
 use ulp_spice::telemetry::SolverCounters;
 
 /// How a trial ended.
@@ -118,15 +119,6 @@ fn percentile_usize(samples: &[usize], q: f64) -> usize {
     sorted.sort_unstable();
     let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Formats an `f64` as a JSON number (`null` for non-finite values).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
-    }
 }
 
 impl CampaignReport {
@@ -230,20 +222,7 @@ impl CampaignReport {
     pub fn counters_total(&self) -> SolverCounters {
         let mut total = SolverCounters::default();
         for c in &self.costs {
-            total.attempts += c.counters.attempts;
-            total.solves += c.counters.solves;
-            total.failures += c.counters.failures;
-            total.newton_iterations += c.counters.newton_iterations;
-            total.gmin_fallbacks += c.counters.gmin_fallbacks;
-            total.symbolic_factorizations += c.counters.symbolic_factorizations;
-            total.numeric_refactorizations += c.counters.numeric_refactorizations;
-            total.tran_steps += c.counters.tran_steps;
-            total.tran_rejected += c.counters.tran_rejected;
-            total.lte_exceeded += c.counters.lte_exceeded;
-            total.devices_bypassed += c.counters.devices_bypassed;
-            total.ac_points += c.counters.ac_points;
-            total.sweep_points += c.counters.sweep_points;
-            total.noise_points += c.counters.noise_points;
+            total.add(&c.counters);
         }
         total
     }
@@ -251,26 +230,16 @@ impl CampaignReport {
     /// Renders one ledger entry's deterministic fields (no worker, no
     /// seconds) as a JSON object.
     fn counters_entry_json(cost: &TrialCost) -> String {
-        let k = &cost.counters;
-        format!(
-            "{{\"trial\":{},\"outcome\":\"{}\",\"attempts\":{},\"solves\":{},\"failures\":{},\"newton_iterations\":{},\"gmin_fallbacks\":{},\"symbolic_factorizations\":{},\"numeric_refactorizations\":{},\"tran_steps\":{},\"tran_rejected\":{},\"lte_exceeded\":{},\"devices_bypassed\":{},\"ac_points\":{},\"sweep_points\":{},\"noise_points\":{}}}",
+        let mut s = format!(
+            "{{\"trial\":{},\"outcome\":\"{}\"",
             cost.trial,
-            cost.outcome.as_str(),
-            k.attempts,
-            k.solves,
-            k.failures,
-            k.newton_iterations,
-            k.gmin_fallbacks,
-            k.symbolic_factorizations,
-            k.numeric_refactorizations,
-            k.tran_steps,
-            k.tran_rejected,
-            k.lte_exceeded,
-            k.devices_bypassed,
-            k.ac_points,
-            k.sweep_points,
-            k.noise_points
-        )
+            cost.outcome.as_str()
+        );
+        for (name, value) in cost.counters.fields() {
+            let _ = write!(s, ",\"{name}\":{value}");
+        }
+        s.push('}');
+        s
     }
 
     /// The **deterministic subset** of the ledger as JSON: label,
@@ -282,7 +251,7 @@ impl CampaignReport {
         let _ = write!(
             s,
             "{{\"label\":\"{}\",\"trials\":{},\"root_seed\":{},\"counters_recorded\":{},\"ledger\":[",
-            self.label.replace('\\', "\\\\").replace('"', "\\\""),
+            json::escape(&self.label),
             self.trials,
             self.root_seed,
             self.counters_recorded
@@ -307,18 +276,18 @@ impl CampaignReport {
         let _ = write!(
             s,
             "{{\"label\":\"{}\",\"trials\":{},\"jobs\":{},\"root_seed\":{},\"wall_seconds\":{},\"ok\":{},\"panicked\":{},\"cancelled\":{},\"throughput_per_sec\":{},\"p50_seconds\":{},\"p95_seconds\":{},\"max_seconds\":{},\"p50_newton_iterations\":{},\"p95_newton_iterations\":{},\"counters_recorded\":{}",
-            self.label.replace('\\', "\\\\").replace('"', "\\\""),
+            json::escape(&self.label),
             self.trials,
             self.jobs,
             self.root_seed,
-            json_num(self.wall_seconds),
+            json::num(self.wall_seconds),
             self.ok_trials(),
             self.panicked_trials(),
             self.cancelled_trials(),
-            json_num(self.throughput_per_sec()),
-            json_num(self.percentile_seconds(50.0)),
-            json_num(self.percentile_seconds(95.0)),
-            json_num(self.max_seconds()),
+            json::num(self.throughput_per_sec()),
+            json::num(self.percentile_seconds(50.0)),
+            json::num(self.percentile_seconds(95.0)),
+            json::num(self.max_seconds()),
             self.percentile_iterations(50.0),
             self.percentile_iterations(95.0),
             self.counters_recorded
@@ -333,8 +302,8 @@ impl CampaignReport {
                 "{{\"worker\":{},\"trials\":{},\"busy_seconds\":{},\"utilization\":{}}}",
                 w.worker,
                 w.trials,
-                json_num(w.busy_seconds),
-                json_num(w.utilization)
+                json::num(w.busy_seconds),
+                json::num(w.utilization)
             );
         }
         s.push_str("],\"costs\":[");
@@ -349,7 +318,7 @@ impl CampaignReport {
                 entry,
                 ",\"worker\":{},\"seconds\":{}}}",
                 cost.worker,
-                json_num(cost.seconds)
+                json::num(cost.seconds)
             );
             s.push_str(&entry);
         }
@@ -534,6 +503,122 @@ mod tests {
         }
         assert_eq!(a.counters_json(), b.counters_json());
         assert_ne!(a.to_json(), b.to_json(), "the full report does differ");
+    }
+
+    #[test]
+    fn ledger_json_golden_bytes() {
+        let r = report();
+        assert_eq!(
+            r.counters_json(),
+            "{\"label\":\"test::campaign\",\"trials\":4,\"root_seed\":7,\
+             \"counters_recorded\":true,\"ledger\":[\n\
+             {\"trial\":0,\"outcome\":\"ok\",\"attempts\":1,\"solves\":1,\
+             \"failures\":0,\"newton_iterations\":5,\"gmin_fallbacks\":0,\
+             \"symbolic_factorizations\":0,\"numeric_refactorizations\":0,\
+             \"tran_steps\":0,\"tran_rejected\":0,\"lte_exceeded\":0,\"devices_bypassed\":0,\
+             \"ac_points\":0,\"sweep_points\":0,\"noise_points\":0},\n\
+             {\"trial\":1,\"outcome\":\"ok\",\"attempts\":1,\"solves\":1,\
+             \"failures\":0,\"newton_iterations\":10,\"gmin_fallbacks\":0,\
+             \"symbolic_factorizations\":0,\"numeric_refactorizations\":0,\
+             \"tran_steps\":0,\"tran_rejected\":0,\"lte_exceeded\":0,\"devices_bypassed\":0,\
+             \"ac_points\":0,\"sweep_points\":0,\"noise_points\":0},\n\
+             {\"trial\":2,\"outcome\":\"ok\",\"attempts\":1,\"solves\":1,\
+             \"failures\":0,\"newton_iterations\":10,\"gmin_fallbacks\":0,\
+             \"symbolic_factorizations\":0,\"numeric_refactorizations\":0,\
+             \"tran_steps\":0,\"tran_rejected\":0,\"lte_exceeded\":0,\"devices_bypassed\":0,\
+             \"ac_points\":0,\"sweep_points\":0,\"noise_points\":0},\n\
+             {\"trial\":3,\"outcome\":\"ok\",\"attempts\":1,\"solves\":1,\
+             \"failures\":0,\"newton_iterations\":20,\"gmin_fallbacks\":0,\
+             \"symbolic_factorizations\":0,\"numeric_refactorizations\":0,\
+             \"tran_steps\":0,\"tran_rejected\":0,\"lte_exceeded\":0,\"devices_bypassed\":0,\
+             \"ac_points\":0,\"sweep_points\":0,\"noise_points\":0}\n\
+             ]}\n"
+        );
+        assert_eq!(
+            r.to_json(),
+            "{\"label\":\"test::campaign\",\"trials\":4,\"jobs\":2,\"root_seed\":7,\
+             \"wall_seconds\":2e0,\"ok\":4,\"panicked\":0,\"cancelled\":0,\
+             \"throughput_per_sec\":2e0,\"p50_seconds\":2.5e-1,\"p95_seconds\":1e0,\
+             \"max_seconds\":1e0,\"p50_newton_iterations\":10,\"p95_newton_iterations\":20,\
+             \"counters_recorded\":true,\"workers\":[{\"worker\":0,\"trials\":2,\
+             \"busy_seconds\":1.25e0,\"utilization\":6.25e-1},{\"worker\":1,\
+             \"trials\":2,\"busy_seconds\":7.5e-1,\"utilization\":3.75e-1}],\
+             \"costs\":[\n\
+             {\"trial\":0,\"outcome\":\"ok\",\"attempts\":1,\"solves\":1,\
+             \"failures\":0,\"newton_iterations\":5,\"gmin_fallbacks\":0,\
+             \"symbolic_factorizations\":0,\"numeric_refactorizations\":0,\
+             \"tran_steps\":0,\"tran_rejected\":0,\"lte_exceeded\":0,\"devices_bypassed\":0,\
+             \"ac_points\":0,\"sweep_points\":0,\"noise_points\":0,\"worker\":0,\
+             \"seconds\":1e0},\n\
+             {\"trial\":1,\"outcome\":\"ok\",\"attempts\":1,\"solves\":1,\
+             \"failures\":0,\"newton_iterations\":10,\"gmin_fallbacks\":0,\
+             \"symbolic_factorizations\":0,\"numeric_refactorizations\":0,\
+             \"tran_steps\":0,\"tran_rejected\":0,\"lte_exceeded\":0,\"devices_bypassed\":0,\
+             \"ac_points\":0,\"sweep_points\":0,\"noise_points\":0,\"worker\":1,\
+             \"seconds\":5e-1},\n\
+             {\"trial\":2,\"outcome\":\"ok\",\"attempts\":1,\"solves\":1,\
+             \"failures\":0,\"newton_iterations\":10,\"gmin_fallbacks\":0,\
+             \"symbolic_factorizations\":0,\"numeric_refactorizations\":0,\
+             \"tran_steps\":0,\"tran_rejected\":0,\"lte_exceeded\":0,\"devices_bypassed\":0,\
+             \"ac_points\":0,\"sweep_points\":0,\"noise_points\":0,\"worker\":0,\
+             \"seconds\":2.5e-1},\n\
+             {\"trial\":3,\"outcome\":\"ok\",\"attempts\":1,\"solves\":1,\
+             \"failures\":0,\"newton_iterations\":20,\"gmin_fallbacks\":0,\
+             \"symbolic_factorizations\":0,\"numeric_refactorizations\":0,\
+             \"tran_steps\":0,\"tran_rejected\":0,\"lte_exceeded\":0,\"devices_bypassed\":0,\
+             \"ac_points\":0,\"sweep_points\":0,\"noise_points\":0,\"worker\":1,\
+             \"seconds\":2.5e-1}\n\
+             ]}\n"
+        );
+    }
+
+    #[test]
+    fn counters_total_is_the_column_sum_of_the_ledger() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::SplitMix64::seed_from_u64(16);
+        let mut r = report();
+        for c in &mut r.costs {
+            let mut col = || (rng.next_u64() % 1_000_000) as usize;
+            c.counters = SolverCounters {
+                attempts: col(),
+                solves: col(),
+                failures: col(),
+                newton_iterations: col(),
+                gmin_fallbacks: col(),
+                symbolic_factorizations: col(),
+                numeric_refactorizations: col(),
+                tran_steps: col(),
+                tran_rejected: col(),
+                lte_exceeded: col(),
+                devices_bypassed: col(),
+                ac_points: col(),
+                sweep_points: col(),
+                noise_points: col(),
+            };
+        }
+        for (k, (name, total)) in r.counters_total().fields().into_iter().enumerate() {
+            let column: usize = r.costs.iter().map(|c| c.counters.fields()[k].1).sum();
+            assert_eq!(total, column, "column {name}");
+        }
+    }
+
+    #[test]
+    fn labels_with_control_characters_are_escaped() {
+        // `ulp_ir` names campaigns after `.ulp` file stems, so a label
+        // can carry any character a file name can.
+        let mut r = report();
+        r.label = "say \"hi\"\\\tnow\n".into();
+        for doc in [r.counters_json(), r.to_json()] {
+            assert!(
+                doc.starts_with(r#"{"label":"say \"hi\"\\\tnow\n","#),
+                "{doc}"
+            );
+            let parsed = json::parse_json(&doc).expect("the ledger parses");
+            assert_eq!(
+                parsed.get("label").and_then(json::JsonValue::as_str),
+                Some(r.label.as_str())
+            );
+        }
     }
 
     #[test]

@@ -15,10 +15,14 @@
 //!   modified nodal analysis (MNA) equations, with gmin stepping for
 //!   robustness;
 //! * [`sweep`] — DC transfer sweeps with solution continuation;
-//! * [`tran`] — fixed-step transient analysis (backward Euler or
-//!   trapezoidal companion models) with a full Newton solve per step;
+//! * [`tran`] — transient analysis (backward Euler or trapezoidal
+//!   companion models) with a full Newton solve per step: a fixed-step
+//!   march, and an adaptive engine that sizes each step from a
+//!   local-truncation-error estimate and bypasses latent devices;
 //! * [`ac`] — complex-valued small-signal analysis around the DC
-//!   operating point.
+//!   operating point;
+//! * [`json`] — the one JSON number formatter and string escaper the
+//!   exports render through, plus the reader their self-checks use.
 //!
 //! Deliberate scope limits, documented here so users are not surprised:
 //! no inductors (none appear in the paper's circuits) and no implicit
@@ -127,7 +131,7 @@
 //! ```
 //! use ulp_spice::netlist::Netlist;
 //! use ulp_spice::lint::{self, LintConfig, LintLevel};
-//! use ulp_spice::sarif;
+//! use ulp_spice::{json, sarif};
 //! use ulp_device::{Mosfet, Polarity, Technology};
 //! use ulp_device::load::PmosLoad;
 //!
@@ -159,8 +163,8 @@
 //! let strict = LintConfig::new().set("electrical", LintLevel::Deny);
 //! assert!(!lint::run(&nl, &tech, &strict).is_clean());
 //! // Findings export as deterministic SARIF 2.1.0 for review tooling.
-//! let json = sarif::to_sarif(&report, "netlists/doc-example");
-//! assert!(sarif::parse_json(&json).is_ok());
+//! let log = sarif::to_sarif(&report, "netlists/doc-example");
+//! assert!(json::parse_json(&log).is_ok());
 //! ```
 //!
 //! # Sound certification
@@ -271,7 +275,7 @@
 //! (campaign → trial → analysis phase → newton attempt, one timeline
 //! per ensemble worker) exportable as Chrome trace-event JSON
 //! ([`telemetry::render_chrome_trace`], loadable in Perfetto), and the
-//! [`registry`] module provides named counters/gauges/histograms with
+//! [`registry`] module provides named counters and histograms with
 //! Prometheus text exposition — both fed per-worker and merged in
 //! deterministic worker order through the same
 //! [`telemetry::worker_capture_on`]/[`telemetry::fold_worker`] seam the
@@ -283,6 +287,7 @@ pub mod dcop;
 pub mod diag;
 pub mod erc;
 pub mod error;
+pub mod json;
 pub mod lint;
 pub mod mna;
 pub mod netlist;

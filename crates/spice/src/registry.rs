@@ -1,13 +1,13 @@
-//! A small metrics registry: named counters, gauges and fixed-bucket
-//! histograms with Prometheus text exposition and JSONL export.
+//! A small metrics registry: named counters and fixed-bucket histograms
+//! with Prometheus text exposition and JSONL export.
 //!
 //! The registry is the machine-readable face of campaign observability:
 //! each `ulp-exec` worker records into its own shard (the thread-local
 //! collector installed by [`crate::telemetry::worker_capture_on`]), and
 //! the shards merge into the process-global registry **in worker-index
-//! order** at campaign end — counters add, gauges take the last value
-//! in merge order, histogram buckets add. Rendering iterates a
-//! `BTreeMap`, so the exposition is byte-stable for equal contents.
+//! order** at campaign end — counters add, histogram buckets add.
+//! Rendering iterates a `BTreeMap`, so the exposition is byte-stable
+//! for equal contents.
 //!
 //! Determinism contract: counter *values* are as deterministic as what
 //! they count (trial totals, Newton iterations). Histogram bucket
@@ -21,7 +21,6 @@
 //!
 //! let mut r = Registry::new();
 //! r.counter_add("ulp_trials_total", 64);
-//! r.gauge_set("ulp_campaign_jobs", 4.0);
 //! r.observe_seconds("ulp_trial_seconds", 3.2e-3);
 //! let text = r.render_prometheus();
 //! assert!(text.contains("ulp_trials_total 64"));
@@ -31,19 +30,20 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Default histogram bucket upper bounds for wall-clock seconds:
-/// exponential 1 µs … 100 s (an implicit `+Inf` overflow bucket is
-/// always appended).
+use crate::json;
+
+/// Histogram bucket upper bounds for wall-clock seconds: exponential
+/// 1 µs … 100 s (an implicit `+Inf` overflow bucket is always
+/// appended).
 pub const SECONDS_BOUNDS: [f64; 9] =
     [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0];
 
-/// A fixed-bucket cumulative-exposition histogram.
+/// A cumulative-exposition histogram of wall-clock seconds over the
+/// fixed [`SECONDS_BOUNDS`] buckets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
-    /// Strictly increasing finite bucket upper bounds.
-    bounds: Vec<f64>,
     /// Per-bucket (non-cumulative) counts; one extra overflow bucket.
-    buckets: Vec<u64>,
+    buckets: [u64; SECONDS_BOUNDS.len() + 1],
     /// Sum of all observed values.
     sum: f64,
     /// Number of observations.
@@ -51,34 +51,21 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// A histogram over the given finite upper bounds (must be strictly
-    /// increasing and non-empty); an overflow bucket is implicit.
-    pub fn with_bounds(bounds: &[f64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
-            "histogram bounds must be finite and strictly increasing"
-        );
+    /// An empty wall-clock-seconds histogram.
+    pub fn seconds() -> Self {
         Histogram {
-            bounds: bounds.to_vec(),
-            buckets: vec![0; bounds.len() + 1],
+            buckets: [0; SECONDS_BOUNDS.len() + 1],
             sum: 0.0,
             count: 0,
         }
     }
 
-    /// The default wall-clock-seconds histogram ([`SECONDS_BOUNDS`]).
-    pub fn seconds() -> Self {
-        Histogram::with_bounds(&SECONDS_BOUNDS)
-    }
-
     /// Records one observation.
     pub fn observe(&mut self, value: f64) {
-        let slot = self
-            .bounds
+        let slot = SECONDS_BOUNDS
             .iter()
             .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
+            .unwrap_or(SECONDS_BOUNDS.len());
         self.buckets[slot] += 1;
         self.sum += value;
         self.count += 1;
@@ -94,49 +81,18 @@ impl Histogram {
         self.sum
     }
 
-    /// The finite bucket bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
     /// Per-bucket (non-cumulative) counts, overflow bucket last.
     pub fn buckets(&self) -> &[u64] {
         &self.buckets
     }
 
-    /// Folds another shard into this one. Both shards must use the same
-    /// bounds (they do, coming from the same metric name in the same
-    /// process); on a mismatch only `sum`/`count` are merged.
+    /// Folds another shard into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        debug_assert_eq!(self.bounds, other.bounds, "histogram bounds diverged");
-        if self.bounds == other.bounds {
-            for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-                *a += b;
-            }
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
         }
         self.sum += other.sum;
         self.count += other.count;
-    }
-
-    /// Bucket-resolution quantile estimate: the upper bound of the first
-    /// bucket at which the cumulative count reaches `q` (0–1) of the
-    /// total. Returns 0 when empty; the overflow bucket reports the last
-    /// finite bound.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (k, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return self.bounds.get(k).copied().unwrap_or_else(|| {
-                    *self.bounds.last().expect("bounds non-empty")
-                });
-            }
-        }
-        *self.bounds.last().expect("bounds non-empty")
     }
 }
 
@@ -145,8 +101,6 @@ impl Histogram {
 pub enum Metric {
     /// A monotone counter.
     Counter(u64),
-    /// A point-in-time value.
-    Gauge(f64),
     /// A fixed-bucket histogram.
     Histogram(Histogram),
 }
@@ -156,7 +110,6 @@ impl Metric {
     pub fn kind(&self) -> &'static str {
         match self {
             Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "histogram",
         }
     }
@@ -199,11 +152,6 @@ impl Registry {
         self.metrics.get(name)
     }
 
-    /// Iterates metrics in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
-        self.metrics.iter().map(|(n, m)| (n.as_str(), m))
-    }
-
     /// Adds `delta` to the named counter (creating it at 0).
     ///
     /// # Panics
@@ -222,55 +170,31 @@ impl Registry {
         }
     }
 
-    /// Sets the named gauge.
+    /// Records one wall-clock observation into the named histogram,
+    /// created over [`SECONDS_BOUNDS`] on first touch.
     ///
     /// # Panics
     ///
     /// On a bad name or a type clash (see [`Registry::counter_add`]).
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
+    pub fn observe_seconds(&mut self, name: &str, seconds: f64) {
         assert!(valid_name(name), "bad metric name {name:?}");
         match self
             .metrics
             .entry(name.to_string())
-            .or_insert(Metric::Gauge(0.0))
+            .or_insert_with(|| Metric::Histogram(Histogram::seconds()))
         {
-            Metric::Gauge(v) => *v = value,
-            other => panic!("{name} is a {}, not a gauge", other.kind()),
-        }
-    }
-
-    /// Records one observation into the named histogram, created with
-    /// the given bounds on first touch.
-    ///
-    /// # Panics
-    ///
-    /// On a bad name or a type clash (see [`Registry::counter_add`]).
-    pub fn observe_with(&mut self, name: &str, bounds: &[f64], value: f64) {
-        assert!(valid_name(name), "bad metric name {name:?}");
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::with_bounds(bounds)))
-        {
-            Metric::Histogram(h) => h.observe(value),
+            Metric::Histogram(h) => h.observe(seconds),
             other => panic!("{name} is a {}, not a histogram", other.kind()),
         }
     }
 
-    /// [`Registry::observe_with`] using the wall-clock-seconds bounds.
-    pub fn observe_seconds(&mut self, name: &str, seconds: f64) {
-        self.observe_with(name, &SECONDS_BOUNDS, seconds);
-    }
-
-    /// Folds another shard into this one: counters add, gauges take the
-    /// other's value (so merging in worker order is deterministic),
-    /// histograms merge bucket-wise. Metrics present only in `other`
-    /// are copied over.
+    /// Folds another shard into this one: counters add, histograms
+    /// merge bucket-wise. Metrics present only in `other` are copied
+    /// over.
     pub fn merge(&mut self, other: &Registry) {
         for (name, m) in &other.metrics {
             match (self.metrics.get_mut(name), m) {
                 (Some(Metric::Counter(a)), Metric::Counter(b)) => *a += b,
-                (Some(Metric::Gauge(a)), Metric::Gauge(b)) => *a = *b,
                 (Some(Metric::Histogram(a)), Metric::Histogram(b)) => a.merge(b),
                 (Some(existing), incoming) => debug_assert!(
                     false,
@@ -296,14 +220,11 @@ impl Registry {
                 Metric::Counter(v) => {
                     let _ = writeln!(s, "{name} {v}");
                 }
-                Metric::Gauge(v) => {
-                    let _ = writeln!(s, "{name} {}", prom_num(*v));
-                }
                 Metric::Histogram(h) => {
                     let mut cum = 0u64;
                     for (k, &c) in h.buckets.iter().enumerate() {
                         cum += c;
-                        let le = match h.bounds.get(k) {
+                        let le = match SECONDS_BOUNDS.get(k) {
                             Some(b) => prom_num(*b),
                             None => "+Inf".to_string(),
                         };
@@ -327,11 +248,8 @@ impl Registry {
                 Metric::Counter(v) => {
                     let _ = write!(s, ",\"value\":{v}");
                 }
-                Metric::Gauge(v) => {
-                    let _ = write!(s, ",\"value\":{}", json_num(*v));
-                }
                 Metric::Histogram(h) => {
-                    let _ = write!(s, ",\"count\":{},\"sum\":{}", h.count, json_num(h.sum));
+                    let _ = write!(s, ",\"count\":{},\"sum\":{}", h.count, json::num(h.sum));
                     s.push_str(",\"buckets\":[");
                     let mut cum = 0u64;
                     for (k, &c) in h.buckets.iter().enumerate() {
@@ -339,9 +257,9 @@ impl Registry {
                         if k > 0 {
                             s.push(',');
                         }
-                        match h.bounds.get(k) {
+                        match SECONDS_BOUNDS.get(k) {
                             Some(b) => {
-                                let _ = write!(s, "{{\"le\":{},\"count\":{cum}}}", json_num(*b));
+                                let _ = write!(s, "{{\"le\":{},\"count\":{cum}}}", json::num(*b));
                             }
                             None => {
                                 let _ = write!(s, "{{\"le\":null,\"count\":{cum}}}");
@@ -366,15 +284,6 @@ fn prom_num(v: f64) -> String {
         if v > 0.0 { "+Inf" } else { "-Inf" }.to_string()
     } else {
         format!("{v:e}")
-    }
-}
-
-/// Formats an `f64` as a JSON number (`null` for non-finite).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -489,17 +398,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_histograms_roundtrip() {
+    fn counters_and_histograms_roundtrip() {
         let mut r = Registry::new();
         r.counter_add("trials_total", 3);
         r.counter_add("trials_total", 2);
-        r.gauge_set("jobs", 4.0);
-        r.gauge_set("jobs", 2.0);
         r.observe_seconds("trial_seconds", 5e-4);
         r.observe_seconds("trial_seconds", 2e-2);
         r.observe_seconds("trial_seconds", 1e9); // overflow bucket
         assert_eq!(r.get("trials_total"), Some(&Metric::Counter(5)));
-        assert_eq!(r.get("jobs"), Some(&Metric::Gauge(2.0)));
         let Some(Metric::Histogram(h)) = r.get("trial_seconds") else {
             panic!("histogram missing");
         };
@@ -510,23 +416,20 @@ mod tests {
         assert!(text.contains("trials_total 5"));
         assert!(text.contains("trial_seconds_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("trial_seconds_count 3"));
-        assert_eq!(validate_prometheus(&text).unwrap(), 2 + 10 + 2);
+        assert_eq!(validate_prometheus(&text).unwrap(), 1 + 10 + 2);
     }
 
     #[test]
-    fn merge_adds_counters_overwrites_gauges_sums_histograms() {
+    fn merge_adds_counters_sums_histograms() {
         let mut a = Registry::new();
         a.counter_add("n", 1);
-        a.gauge_set("g", 1.0);
         a.observe_seconds("h", 1e-3);
         let mut b = Registry::new();
         b.counter_add("n", 2);
-        b.gauge_set("g", 7.0);
         b.observe_seconds("h", 1e-3);
         b.counter_add("only_b", 9);
         a.merge(&b);
         assert_eq!(a.get("n"), Some(&Metric::Counter(3)));
-        assert_eq!(a.get("g"), Some(&Metric::Gauge(7.0)));
         assert_eq!(a.get("only_b"), Some(&Metric::Counter(9)));
         let Some(Metric::Histogram(h)) = a.get("h") else {
             panic!()
@@ -537,7 +440,7 @@ mod tests {
 
     #[test]
     fn merge_order_of_shards_is_deterministic_for_counters() {
-        // Counters commute; gauges are last-merge-wins by contract.
+        // Counters commute.
         let mut shards = Vec::new();
         for k in 0..3u64 {
             let mut r = Registry::new();
@@ -556,22 +459,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantile_is_bucket_resolution() {
-        let mut h = Histogram::with_bounds(&[1.0, 2.0, 4.0]);
-        for v in [0.5, 0.7, 1.5, 3.0] {
-            h.observe(v);
-        }
-        assert_eq!(h.quantile(0.5), 1.0);
-        assert_eq!(h.quantile(0.95), 4.0);
-        assert_eq!(Histogram::seconds().quantile(0.5), 0.0, "empty -> 0");
-    }
-
-    #[test]
     fn bad_names_and_type_clashes_panic() {
         let mut r = Registry::new();
         r.counter_add("ok_name", 1);
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            r.gauge_set("ok_name", 1.0)
+            r.observe_seconds("ok_name", 1.0)
         }))
         .is_err());
         let mut r2 = Registry::new();

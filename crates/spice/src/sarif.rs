@@ -10,18 +10,20 @@
 //! artifact URI) plus logical locations for the named nodes and
 //! elements.
 //!
-//! The emitter is hand-rendered (no serde in the workspace) and fully
+//! The emitter is hand-rendered through [`crate::json`] and fully
 //! deterministic: same report in, byte-identical JSON out, so exports
-//! can be golden-tested and diffed in CI. A minimal recursive-descent
-//! JSON reader ([`parse_json`]) rides along so the bench binary and the
-//! tests can validate emitted files without external tooling.
+//! can be golden-tested and diffed in CI. The JSON reader is re-exported
+//! here ([`parse_json`], [`JsonValue`]) for callers that validate SARIF
+//! by this module's path.
 //!
 //! [sarif]: https://docs.oasis-open.org/sarif/sarif/v2.1.0/sarif-v2.1.0.html
 
 use crate::diag::{Diagnostic, ErcReport, Severity};
+use crate::json::escape;
 use crate::lint::{self, LintLevel};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+pub use crate::json::{parse_json, JsonValue};
 
 /// The SARIF schema this module emits.
 pub const SCHEMA: &str = "https://json.schemastore.org/sarif-2.1.0.json";
@@ -38,27 +40,6 @@ fn level_of(severity: Severity) -> &'static str {
         Severity::Warning => "warning",
         Severity::Info => "note",
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal (RFC 8259:
-/// quote, backslash and control characters; everything else passes
-/// through as UTF-8).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn push_result(out: &mut String, d: &Diagnostic, artifact: &str, indent: &str) {
@@ -170,250 +151,6 @@ pub fn to_sarif(report: &ErcReport, artifact: &str) -> String {
     }
     out.push_str("    }\n  ]\n}\n");
     out
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader, for validating emitted SARIF.
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value.
-///
-/// Objects use a [`BTreeMap`] so re-serialisation and comparison are
-/// order-independent; SARIF key order is not semantically meaningful.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (kept as f64; SARIF uses none we would truncate).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object.
-    Obj(BTreeMap<String, JsonValue>),
-}
-
-impl JsonValue {
-    /// Member lookup on an object, `None` otherwise.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// Index into an array, `None` otherwise.
-    pub fn idx(&self, i: usize) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Arr(v) => v.get(i),
-            _ => None,
-        }
-    }
-
-    /// The string payload, `None` for non-strings.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The array payload, `None` for non-arrays.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, `None` for non-numbers.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document (rejecting trailing garbage).
-///
-/// # Errors
-///
-/// A human-readable description of the first syntax error, with its byte
-/// offset.
-pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {}", c as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", JsonValue::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        _ => Err(format!("unexpected end or byte at {}", *pos)),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len()
-        && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(JsonValue::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {}", *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        // Surrogate pairs are not emitted by this crate;
-                        // map lone surrogates to the replacement char.
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy the whole run up to the next quote or backslash.
-                // Both are ASCII, so the run of a `&str`'s bytes ends on
-                // a character boundary, and validating it costs only its
-                // own length.
-                let end = b[*pos..]
-                    .iter()
-                    .position(|&c| c == b'"' || c == b'\\')
-                    .map_or(b.len(), |k| *pos + k);
-                let run = std::str::from_utf8(&b[*pos..end])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                out.push_str(run);
-                *pos = end;
-            }
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(b, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(b, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Obj(map));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
-        expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        map.insert(key, value);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Obj(map));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //!   gain telemetry without code changes.
 //!
 //! Parallel ensemble campaigns (`ulp-exec`) interpose a third layer: a
-//! thread-local *worker* collector ([`worker_capture`]) absorbs the
+//! thread-local *worker* collector ([`worker_capture_on`]) absorbs the
 //! default-API events of one worker thread without touching the global
 //! `Mutex`, and [`fold_worker`] merges ([`SimMetrics::merge`]) each
 //! worker's aggregate into the global collector once, at campaign end,
@@ -30,8 +30,10 @@
 //!
 //! # Aggregates
 //!
-//! [`SimMetrics`] accumulates counters and an exact per-attempt
-//! iteration sample set, so [`SimMetrics::p50_iterations`] /
+//! [`SimMetrics`] accumulates the deterministic [`SolverCounters`] —
+//! declared once, in the `solver_counters!` table below — plus a few
+//! timing and pivoting figures and an exact per-attempt iteration
+//! sample set, so [`SimMetrics::p50_iterations`] /
 //! [`SimMetrics::p95_iterations`] are true nearest-rank percentiles,
 //! not estimates. [`SimMetrics::summary`] renders the stable
 //! `-- solver metrics --` footer used by the bench binaries;
@@ -71,6 +73,7 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::json;
 use crate::registry::Registry;
 
 /// How much the global collector keeps.
@@ -237,16 +240,6 @@ pub enum Event {
     },
 }
 
-/// Formats an `f64` as a JSON number (`null` for non-finite values,
-/// which JSON cannot represent).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl Event {
     /// Stable machine-readable tag of the variant.
     pub fn kind(&self) -> &'static str {
@@ -283,7 +276,7 @@ impl Event {
                 seconds,
             } => {
                 let _ = write!(s, ",\"analysis\":\"{analysis}\"");
-                let _ = write!(s, ",\"gmin\":{}", json_num(*gmin));
+                let _ = write!(s, ",\"gmin\":{}", json::num(*gmin));
                 match rung {
                     Some(r) => {
                         let _ = write!(s, ",\"rung\":{r}");
@@ -292,14 +285,14 @@ impl Event {
                 }
                 let _ = write!(s, ",\"iterations\":{iterations}");
                 let _ = write!(s, ",\"converged\":{converged}");
-                let _ = write!(s, ",\"residual\":{}", json_num(*residual));
-                let _ = write!(s, ",\"max_delta\":{}", json_num(*max_delta));
+                let _ = write!(s, ",\"residual\":{}", json::num(*residual));
+                let _ = write!(s, ",\"max_delta\":{}", json::num(*max_delta));
                 let _ = write!(s, ",\"clamps\":{clamps}");
                 let _ = write!(s, ",\"lu_dim\":{lu_dim}");
                 let _ = write!(s, ",\"lu_swaps\":{lu_swaps}");
                 let _ = write!(s, ",\"lu_symbolic\":{lu_symbolic}");
                 let _ = write!(s, ",\"lu_refactor\":{lu_refactor}");
-                let _ = write!(s, ",\"seconds\":{}", json_num(*seconds));
+                let _ = write!(s, ",\"seconds\":{}", json::num(*seconds));
             }
             Event::TranStep {
                 step,
@@ -312,8 +305,8 @@ impl Event {
                 let _ = write!(
                     s,
                     ",\"step\":{step},\"time\":{},\"newton_iterations\":{newton_iterations},\"method\":\"{method}\",\"devices_bypassed\":{devices_bypassed},\"seconds\":{}",
-                    json_num(*time),
-                    json_num(*seconds)
+                    json::num(*time),
+                    json::num(*seconds)
                 );
             }
             Event::TranReject {
@@ -327,10 +320,10 @@ impl Event {
                 let _ = write!(
                     s,
                     ",\"step\":{step},\"time\":{},\"dt\":{},\"error\":{},\"newton_failed\":{newton_failed},\"seconds\":{}",
-                    json_num(*time),
-                    json_num(*dt),
-                    json_num(*error),
-                    json_num(*seconds)
+                    json::num(*time),
+                    json::num(*dt),
+                    json::num(*error),
+                    json::num(*seconds)
                 );
             }
             Event::AcPoint {
@@ -343,8 +336,8 @@ impl Event {
                 let _ = write!(
                     s,
                     ",\"index\":{index},\"freq\":{},\"lu_symbolic\":{lu_symbolic},\"lu_refactor\":{lu_refactor},\"seconds\":{}",
-                    json_num(*freq),
-                    json_num(*seconds)
+                    json::num(*freq),
+                    json::num(*seconds)
                 );
             }
             Event::SweepPoint {
@@ -356,8 +349,8 @@ impl Event {
                 let _ = write!(
                     s,
                     ",\"index\":{index},\"value\":{},\"newton_iterations\":{newton_iterations},\"seconds\":{}",
-                    json_num(*value),
-                    json_num(*seconds)
+                    json::num(*value),
+                    json::num(*seconds)
                 );
             }
             Event::NoisePoint {
@@ -369,23 +362,17 @@ impl Event {
                 let _ = write!(
                     s,
                     ",\"index\":{index},\"freq\":{},\"sources\":{sources},\"seconds\":{}",
-                    json_num(*freq),
-                    json_num(*seconds)
+                    json::num(*freq),
+                    json::num(*seconds)
                 );
             }
             Event::Phase { name, seconds } => {
-                // Phase names come from in-tree callers and contain no
-                // characters needing JSON escaping beyond the basics.
-                let escaped: String = name
-                    .chars()
-                    .flat_map(|c| match c {
-                        '"' => vec!['\\', '"'],
-                        '\\' => vec!['\\', '\\'],
-                        c if c.is_control() => vec![' '],
-                        c => vec![c],
-                    })
-                    .collect();
-                let _ = write!(s, ",\"name\":\"{escaped}\",\"seconds\":{}", json_num(*seconds));
+                let _ = write!(
+                    s,
+                    ",\"name\":\"{}\",\"seconds\":{}",
+                    json::escape(name),
+                    json::num(*seconds)
+                );
             }
         }
         s.push('}');
@@ -411,15 +398,6 @@ pub struct TaggedEvent {
 }
 
 impl TaggedEvent {
-    /// An untagged wrapper (no campaign context).
-    pub fn untagged(event: Event) -> Self {
-        TaggedEvent {
-            event,
-            campaign: None,
-            trial: None,
-        }
-    }
-
     /// Renders the tagged event as one JSON object: the underlying
     /// event's rendering with `campaign`/`trial` keys spliced in when
     /// present.
@@ -430,7 +408,7 @@ impl TaggedEvent {
         }
         s.pop(); // strip the closing brace, re-append after the tags
         if let Some(c) = &self.campaign {
-            let _ = write!(s, ",\"campaign\":\"{}\"", json_escape(c));
+            let _ = write!(s, ",\"campaign\":\"{}\"", json::escape(c));
         }
         if let Some(t) = self.trial {
             let _ = write!(s, ",\"trial\":{t}");
@@ -438,18 +416,6 @@ impl TaggedEvent {
         s.push('}');
         s
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(raw: &str) -> String {
-    raw.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if c.is_control() => vec![' '],
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// One completed wall-clock span on the process-monotonic timeline:
@@ -484,10 +450,10 @@ impl SpanEvent {
         let _ = write!(
             s,
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}",
-            json_escape(&self.name),
+            json::escape(&self.name),
             self.cat,
-            json_num(self.start_us),
-            json_num(self.dur_us),
+            json::num(self.start_us),
+            json::num(self.dur_us),
             self.worker
         );
         if let Some(t) = self.trial {
@@ -541,8 +507,8 @@ pub fn render_chrome_trace(spans: &[SpanEvent]) -> String {
 ///
 /// A description of the first structural violation.
 pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
-    use crate::sarif::JsonValue;
-    let doc = crate::sarif::parse_json(text)?;
+    use crate::json::JsonValue;
+    let doc = json::parse_json(text)?;
     let events = doc
         .get("traceEvents")
         .and_then(JsonValue::as_arr)
@@ -602,72 +568,98 @@ fn current_trial_context() -> (Option<Arc<str>>, Option<usize>) {
     })
 }
 
-/// A point-in-time snapshot of the deterministic solver counters — the
-/// per-trial cost ledger diffs two of these around each trial.
+/// Declares the deterministic solver counters, one row each: the doc
+/// comment, the name (a [`SolverCounters`] field and ledger column) and
+/// the Prometheus name of the counters [`MetricsCollector`] mirrors into
+/// its registry shard. Every per-counter list is generated here: the
+/// struct, [`SolverCounters::delta_since`], [`SolverCounters::add`], the
+/// ledger columns of [`SolverCounters::fields`] and the registry mirror.
 ///
-/// Every field counts discrete solver work (no wall-clock), so a
-/// ledger built from these is byte-identical at any `ULP_JOBS`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverCounters {
-    /// Newton attempts (direct solves and ladder rungs).
-    pub attempts: usize,
-    /// Attempts that converged.
-    pub solves: usize,
-    /// Attempts that did not converge.
-    pub failures: usize,
-    /// Total Newton iterations.
-    pub newton_iterations: usize,
-    /// Solves that engaged the gmin ladder.
-    pub gmin_fallbacks: usize,
-    /// Full symbolic (pivot-choosing) factorizations.
-    pub symbolic_factorizations: usize,
-    /// Pattern-reusing numeric refactorizations.
-    pub numeric_refactorizations: usize,
-    /// Transient steps accepted.
-    pub tran_steps: usize,
-    /// Adaptive transient steps rejected (LTE overruns plus Newton
-    /// failures; always 0 on the fixed-step path).
-    pub tran_rejected: usize,
-    /// Rejections caused by the LTE estimate exceeding tolerance (a
-    /// subset of `tran_rejected`).
-    pub lte_exceeded: usize,
-    /// Nonlinear device evaluations bypassed via the latency cache.
-    pub devices_bypassed: usize,
-    /// AC frequency points solved.
-    pub ac_points: usize,
-    /// DC sweep points solved.
-    pub sweep_points: usize,
-    /// Noise frequency points solved.
-    pub noise_points: usize,
+/// Adding a counter takes the row, the [`SimMetrics::absorb`] line that
+/// counts it, and a [`SimMetrics::summary`] footer line if it should
+/// print (footer lines group several counters, so they are written by
+/// hand).
+macro_rules! solver_counters {
+    ($( $(#[$doc:meta])* $name:ident : $prometheus:expr ),* $(,)?) => {
+        /// A point-in-time snapshot of the deterministic solver counters —
+        /// the per-trial cost ledger diffs two of these around each trial.
+        ///
+        /// Every field counts discrete solver work (no wall-clock), so a
+        /// ledger built from these is byte-identical at any `ULP_JOBS`.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct SolverCounters {
+            $( $(#[$doc])* pub $name: usize, )*
+        }
+
+        impl SolverCounters {
+            /// Number of counters (ledger columns).
+            pub const COUNT: usize = [$(stringify!($name)),*].len();
+
+            /// Prometheus name per counter, ledger order (`None`: not
+            /// mirrored into the registry).
+            const PROMETHEUS: [Option<&'static str>; Self::COUNT] = [$($prometheus),*];
+
+            /// The counters accrued since `earlier` (a snapshot taken on
+            /// the same collector before the work being measured).
+            pub fn delta_since(self, earlier: SolverCounters) -> SolverCounters {
+                SolverCounters {
+                    $( $name: self.$name.saturating_sub(earlier.$name), )*
+                }
+            }
+
+            /// Adds `other`, counter by counter.
+            pub fn add(&mut self, other: &SolverCounters) {
+                $( self.$name += other.$name; )*
+            }
+
+            /// `(name, value)` of every counter, in ledger column order.
+            pub fn fields(&self) -> [(&'static str, usize); Self::COUNT] {
+                [$( (stringify!($name), self.$name) ),*]
+            }
+
+            /// `(Prometheus name, value)` of every counter that has one.
+            fn mirrored(&self) -> impl Iterator<Item = (&'static str, usize)> {
+                Self::PROMETHEUS
+                    .into_iter()
+                    .zip(self.fields())
+                    .filter_map(|(prometheus, (_, value))| Some((prometheus?, value)))
+            }
+        }
+    };
 }
 
-impl SolverCounters {
-    /// The counters accrued since `earlier` (a snapshot taken on the
-    /// same collector before the work being measured).
-    pub fn delta_since(self, earlier: SolverCounters) -> SolverCounters {
-        SolverCounters {
-            attempts: self.attempts.saturating_sub(earlier.attempts),
-            solves: self.solves.saturating_sub(earlier.solves),
-            failures: self.failures.saturating_sub(earlier.failures),
-            newton_iterations: self
-                .newton_iterations
-                .saturating_sub(earlier.newton_iterations),
-            gmin_fallbacks: self.gmin_fallbacks.saturating_sub(earlier.gmin_fallbacks),
-            symbolic_factorizations: self
-                .symbolic_factorizations
-                .saturating_sub(earlier.symbolic_factorizations),
-            numeric_refactorizations: self
-                .numeric_refactorizations
-                .saturating_sub(earlier.numeric_refactorizations),
-            tran_steps: self.tran_steps.saturating_sub(earlier.tran_steps),
-            tran_rejected: self.tran_rejected.saturating_sub(earlier.tran_rejected),
-            lte_exceeded: self.lte_exceeded.saturating_sub(earlier.lte_exceeded),
-            devices_bypassed: self.devices_bypassed.saturating_sub(earlier.devices_bypassed),
-            ac_points: self.ac_points.saturating_sub(earlier.ac_points),
-            sweep_points: self.sweep_points.saturating_sub(earlier.sweep_points),
-            noise_points: self.noise_points.saturating_sub(earlier.noise_points),
-        }
-    }
+solver_counters! {
+    /// Newton attempts (direct solves and ladder rungs).
+    attempts: None,
+    /// Attempts that converged.
+    solves: None,
+    /// Attempts that did not converge.
+    failures: None,
+    /// Total Newton iterations across all attempts.
+    newton_iterations: None,
+    /// Solves that fell back to the gmin ladder (first-rung events).
+    gmin_fallbacks: None,
+    /// Full symbolic (pivot-choosing) factorizations; the dense fallback
+    /// performs one per linear solve, the sparse path one per pattern.
+    symbolic_factorizations: None,
+    /// Numeric refactorizations that reused a cached symbolic pattern.
+    numeric_refactorizations: None,
+    /// Transient steps accepted.
+    tran_steps: Some("ulp_tran_steps_accepted_total"),
+    /// Adaptive transient steps rejected (LTE overruns plus Newton
+    /// failures; always 0 on the fixed-step path).
+    tran_rejected: Some("ulp_tran_steps_rejected_total"),
+    /// Rejections caused by the LTE estimate exceeding tolerance (a
+    /// subset of `tran_rejected`).
+    lte_exceeded: Some("ulp_tran_lte_exceeded_total"),
+    /// Nonlinear device evaluations bypassed via the latency cache.
+    devices_bypassed: Some("ulp_tran_devices_bypassed_total"),
+    /// AC frequency points solved.
+    ac_points: None,
+    /// DC sweep points solved.
+    sweep_points: None,
+    /// Noise frequency points solved.
+    noise_points: None,
 }
 
 /// A sink for solver events.
@@ -699,53 +691,36 @@ impl Tracer for NullTracer {
 }
 
 /// Aggregate solver counters and exact iteration statistics.
+///
+/// The deterministic counters are one embedded [`SolverCounters`]
+/// ([`SimMetrics::counters`]); the plain fields are the figures the cost
+/// ledger leaves out.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimMetrics {
-    /// Newton attempts recorded (direct solves and ladder rungs).
-    pub attempts: usize,
-    /// Attempts that converged.
-    pub solves: usize,
-    /// Attempts that did not converge.
-    pub failures: usize,
-    /// Total Newton iterations across all attempts.
-    pub newton_iterations: usize,
-    /// Solves that fell back to the gmin ladder (first-rung events).
-    pub gmin_fallbacks: usize,
+    counters: SolverCounters,
     /// Iterations on which the voltage-damping clamp engaged.
     pub damping_clamps: usize,
-    /// LU factorisations attempted (one per Newton iteration).
-    pub lu_factorisations: usize,
     /// Rows displaced by partial pivoting, summed over factorisations.
     pub lu_swaps: usize,
-    /// Full symbolic (pivot-choosing) factorizations; the dense fallback
-    /// performs one per linear solve, the sparse path one per pattern.
-    pub symbolic_factorizations: usize,
-    /// Numeric refactorizations that reused a cached symbolic pattern.
-    pub numeric_refactorizations: usize,
     /// Largest MNA system dimension factored.
     pub max_dimension: usize,
-    /// Transient steps accepted.
-    pub tran_steps: usize,
-    /// Adaptive transient steps rejected (LTE overruns plus Newton
-    /// failures; always 0 on the fixed-step path).
-    pub tran_rejected: usize,
-    /// Rejections caused by the LTE estimate exceeding tolerance (a
-    /// subset of `tran_rejected`).
-    pub lte_exceeded: usize,
-    /// Nonlinear device evaluations bypassed via the latency cache.
-    pub devices_bypassed: usize,
-    /// AC frequency points solved.
-    pub ac_points: usize,
-    /// DC sweep points solved.
-    pub sweep_points: usize,
-    /// Noise frequency points solved.
-    pub noise_points: usize,
     /// Wall-clock time summed over Newton attempts, s.
     pub solve_seconds: f64,
     /// Per-attempt iteration counts, recording order (for percentiles).
     iter_samples: Vec<usize>,
     /// Named phase durations, recording order.
     phases: Vec<(String, f64)>,
+}
+
+/// Counter reads as fields (`m.newton_iterations`) on a [`SimMetrics`].
+/// The benchmark in `perfbench/` reads them that way; new code reads
+/// [`SimMetrics::counters`].
+impl std::ops::Deref for SimMetrics {
+    type Target = SolverCounters;
+
+    fn deref(&self) -> &SolverCounters {
+        &self.counters
+    }
 }
 
 /// Nearest-rank percentile of an unsorted sample set: the smallest value
@@ -763,6 +738,7 @@ fn percentile(samples: &[usize], q: f64) -> usize {
 impl SimMetrics {
     /// Folds one event into the aggregates.
     pub fn absorb(&mut self, event: &Event) {
+        let c = &mut self.counters;
         match event {
             Event::NewtonAttempt {
                 rung,
@@ -776,35 +752,34 @@ impl SimMetrics {
                 seconds,
                 ..
             } => {
-                self.attempts += 1;
+                c.attempts += 1;
                 if *converged {
-                    self.solves += 1;
+                    c.solves += 1;
                 } else {
-                    self.failures += 1;
+                    c.failures += 1;
                 }
-                self.newton_iterations += iterations;
+                c.newton_iterations += iterations;
                 self.iter_samples.push(*iterations);
                 if *rung == Some(0) {
-                    self.gmin_fallbacks += 1;
+                    c.gmin_fallbacks += 1;
                 }
                 self.damping_clamps += clamps;
-                self.lu_factorisations += iterations;
                 self.lu_swaps += lu_swaps;
-                self.symbolic_factorizations += lu_symbolic;
-                self.numeric_refactorizations += lu_refactor;
+                c.symbolic_factorizations += lu_symbolic;
+                c.numeric_refactorizations += lu_refactor;
                 self.max_dimension = self.max_dimension.max(*lu_dim);
                 self.solve_seconds += seconds;
             }
             Event::TranStep {
                 devices_bypassed, ..
             } => {
-                self.tran_steps += 1;
-                self.devices_bypassed += devices_bypassed;
+                c.tran_steps += 1;
+                c.devices_bypassed += devices_bypassed;
             }
             Event::TranReject { newton_failed, .. } => {
-                self.tran_rejected += 1;
+                c.tran_rejected += 1;
                 if !newton_failed {
-                    self.lte_exceeded += 1;
+                    c.lte_exceeded += 1;
                 }
             }
             Event::AcPoint {
@@ -812,12 +787,12 @@ impl SimMetrics {
                 lu_refactor,
                 ..
             } => {
-                self.ac_points += 1;
-                self.symbolic_factorizations += lu_symbolic;
-                self.numeric_refactorizations += lu_refactor;
+                c.ac_points += 1;
+                c.symbolic_factorizations += lu_symbolic;
+                c.numeric_refactorizations += lu_refactor;
             }
-            Event::SweepPoint { .. } => self.sweep_points += 1,
-            Event::NoisePoint { .. } => self.noise_points += 1,
+            Event::SweepPoint { .. } => c.sweep_points += 1,
+            Event::NoisePoint { .. } => c.noise_points += 1,
             Event::Phase { name, seconds } => self.phases.push((name.clone(), *seconds)),
         }
     }
@@ -837,25 +812,17 @@ impl SimMetrics {
         self.iter_samples.iter().copied().max().unwrap_or(0)
     }
 
-    /// Mean Newton iterations per attempt (0 with no attempts).
-    pub fn iterations_per_solve(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.newton_iterations as f64 / self.attempts as f64
-        }
-    }
-
     /// Fraction of factorizations that reused a cached symbolic pattern
     /// instead of re-pivoting from scratch (0 when nothing was factored).
     /// The dense fallback path never reuses, so this is also a quick
     /// check of which backend a campaign actually ran on.
     pub fn pattern_reuse_rate(&self) -> f64 {
-        let total = self.symbolic_factorizations + self.numeric_refactorizations;
+        let c = &self.counters;
+        let total = c.symbolic_factorizations + c.numeric_refactorizations;
         if total == 0 {
             0.0
         } else {
-            self.numeric_refactorizations as f64 / total as f64
+            c.numeric_refactorizations as f64 / total as f64
         }
     }
 
@@ -868,22 +835,7 @@ impl SimMetrics {
     /// snapshot — what the per-trial cost ledger diffs around each
     /// trial.
     pub fn counters(&self) -> SolverCounters {
-        SolverCounters {
-            attempts: self.attempts,
-            solves: self.solves,
-            failures: self.failures,
-            newton_iterations: self.newton_iterations,
-            gmin_fallbacks: self.gmin_fallbacks,
-            symbolic_factorizations: self.symbolic_factorizations,
-            numeric_refactorizations: self.numeric_refactorizations,
-            tran_steps: self.tran_steps,
-            tran_rejected: self.tran_rejected,
-            lte_exceeded: self.lte_exceeded,
-            devices_bypassed: self.devices_bypassed,
-            ac_points: self.ac_points,
-            sweep_points: self.sweep_points,
-            noise_points: self.noise_points,
-        }
+        self.counters
     }
 
     /// Folds another aggregate into this one: counters add, the maximum
@@ -893,69 +845,58 @@ impl SimMetrics {
     /// parallel campaign's per-worker collectors combine at campaign
     /// end without the workers ever sharing a lock mid-run.
     pub fn merge(&mut self, other: &SimMetrics) {
-        self.attempts += other.attempts;
-        self.solves += other.solves;
-        self.failures += other.failures;
-        self.newton_iterations += other.newton_iterations;
-        self.gmin_fallbacks += other.gmin_fallbacks;
+        self.counters.add(&other.counters);
         self.damping_clamps += other.damping_clamps;
-        self.lu_factorisations += other.lu_factorisations;
         self.lu_swaps += other.lu_swaps;
-        self.symbolic_factorizations += other.symbolic_factorizations;
-        self.numeric_refactorizations += other.numeric_refactorizations;
         self.max_dimension = self.max_dimension.max(other.max_dimension);
-        self.tran_steps += other.tran_steps;
-        self.tran_rejected += other.tran_rejected;
-        self.lte_exceeded += other.lte_exceeded;
-        self.devices_bypassed += other.devices_bypassed;
-        self.ac_points += other.ac_points;
-        self.sweep_points += other.sweep_points;
-        self.noise_points += other.noise_points;
         self.solve_seconds += other.solve_seconds;
         self.iter_samples.extend_from_slice(&other.iter_samples);
         self.phases.extend(other.phases.iter().cloned());
     }
 
-    /// The stable multi-line `-- solver metrics --` footer.
+    /// The stable multi-line `-- solver metrics --` footer. Each
+    /// Newton iteration factors once, so the `lu factorisations` line
+    /// prints the iteration total.
     pub fn summary(&self) -> String {
+        let c = &self.counters;
         let mut s = String::new();
         let _ = writeln!(s, "-- solver metrics --");
         let _ = writeln!(
             s,
             "total solves      : {} ({} attempts, {} failed)",
-            self.solves, self.attempts, self.failures
+            c.solves, c.attempts, c.failures
         );
         let _ = writeln!(
             s,
             "newton iterations : {} total, p50 {}, p95 {}, max {}",
-            self.newton_iterations,
+            c.newton_iterations,
             self.p50_iterations(),
             self.p95_iterations(),
             self.max_iterations()
         );
-        let _ = writeln!(s, "gmin fallbacks    : {}", self.gmin_fallbacks);
+        let _ = writeln!(s, "gmin fallbacks    : {}", c.gmin_fallbacks);
         let _ = writeln!(s, "damping clamps    : {}", self.damping_clamps);
         let _ = writeln!(
             s,
             "lu factorisations : {} (max dim {}, {} pivot swaps)",
-            self.lu_factorisations, self.max_dimension, self.lu_swaps
+            c.newton_iterations, self.max_dimension, self.lu_swaps
         );
         let _ = writeln!(
             s,
             "lu pattern reuse  : {} symbolic, {} refactor ({:.1}% reuse)",
-            self.symbolic_factorizations,
-            self.numeric_refactorizations,
+            c.symbolic_factorizations,
+            c.numeric_refactorizations,
             100.0 * self.pattern_reuse_rate()
         );
         let _ = writeln!(
             s,
             "analysis points   : tran {}, ac {}, sweep {}, noise {}",
-            self.tran_steps, self.ac_points, self.sweep_points, self.noise_points
+            c.tran_steps, c.ac_points, c.sweep_points, c.noise_points
         );
         let _ = writeln!(
             s,
             "adaptive stepping : {} rejected ({} lte), {} device bypasses",
-            self.tran_rejected, self.lte_exceeded, self.devices_bypassed
+            c.tran_rejected, c.lte_exceeded, c.devices_bypassed
         );
         let _ = write!(s, "solve wall time   : {:.3e} s", self.solve_seconds);
         for (name, secs) in &self.phases {
@@ -1002,11 +943,6 @@ impl MetricsCollector {
     /// The aggregates so far.
     pub fn metrics(&self) -> &SimMetrics {
         &self.metrics
-    }
-
-    /// The collector's worker index.
-    pub fn worker(&self) -> usize {
-        self.worker
     }
 
     /// The retained events (empty in [`TraceMode::Summary`]).
@@ -1120,27 +1056,16 @@ impl Default for MetricsCollector {
 
 impl Tracer for MetricsCollector {
     fn record(&mut self, event: &Event) {
+        // Counters with a Prometheus name mirror into the registry shard
+        // so campaign exports carry them without a second aggregation
+        // pass: each adds this event's nonzero delta.
+        let before = self.metrics.counters;
         self.metrics.absorb(event);
-        // Transient stepping counters mirror into the Prometheus
-        // registry shard so campaign exports carry them without a
-        // second aggregation pass. All four are deterministic counts.
-        match event {
-            Event::TranStep {
-                devices_bypassed, ..
-            } => {
-                self.registry.counter_add("ulp_tran_steps_accepted_total", 1);
-                if *devices_bypassed > 0 {
-                    self.registry
-                        .counter_add("ulp_tran_devices_bypassed_total", *devices_bypassed as u64);
-                }
+        let delta = self.metrics.counters.delta_since(before);
+        for (name, d) in delta.mirrored() {
+            if d > 0 {
+                self.registry.counter_add(name, d as u64);
             }
-            Event::TranReject { newton_failed, .. } => {
-                self.registry.counter_add("ulp_tran_steps_rejected_total", 1);
-                if !newton_failed {
-                    self.registry.counter_add("ulp_tran_lte_exceeded_total", 1);
-                }
-            }
-            _ => {}
         }
         if self.mode.keeps_events() {
             let (campaign, trial) = current_trial_context();
@@ -1207,7 +1132,7 @@ pub fn global_mode() -> Option<TraceMode> {
 }
 
 thread_local! {
-    /// Per-worker collector: when installed (inside [`worker_capture`]),
+    /// Per-worker collector: when installed (inside [`worker_capture_on`]),
     /// this thread's default-API events land here instead of in the
     /// global `Mutex`, so parallel ensemble workers never contend on the
     /// global lock mid-campaign.
@@ -1235,13 +1160,10 @@ impl Drop for WorkerSlotGuard {
 /// into the global one via [`fold_worker`]; doing so *after* joining
 /// all workers, in a deterministic worker order, keeps the global event
 /// log's ordering independent of thread scheduling.
-pub fn worker_capture<R>(f: impl FnOnce() -> R) -> (R, Option<MetricsCollector>) {
-    worker_capture_on(0, f)
-}
-
-/// [`worker_capture`] with an explicit worker index: the captured
-/// collector shards for worker `worker`, stamping its index on recorded
-/// spans so each pool worker renders as its own Chrome-trace timeline.
+///
+/// The captured collector shards for worker `worker`, stamping its
+/// index on recorded spans so each pool worker renders as its own
+/// Chrome-trace timeline.
 pub fn worker_capture_on<R>(
     worker: usize,
     f: impl FnOnce() -> R,
@@ -1257,7 +1179,7 @@ pub fn worker_capture_on<R>(
     (r, mc)
 }
 
-/// Folds a worker collector (from [`worker_capture`]) into the global
+/// Folds a worker collector (from [`worker_capture_on`]) into the global
 /// collector. A no-op when tracing is off.
 pub fn fold_worker(mc: &MetricsCollector) {
     if let Some(g) = global_cell() {
@@ -1293,12 +1215,6 @@ pub fn counter_add(name: &str, delta: u64) {
     with_collector(|mc| mc.registry.counter_add(name, delta));
 }
 
-/// Sets the named registry gauge on the active collector. A no-op when
-/// tracing is off.
-pub fn gauge_set(name: &str, value: f64) {
-    with_collector(|mc| mc.registry.gauge_set(name, value));
-}
-
 /// Records one wall-clock observation into the named registry histogram
 /// on the active collector. A no-op when tracing is off.
 pub fn observe_seconds(name: &str, seconds: f64) {
@@ -1326,7 +1242,7 @@ pub fn span<R>(cat: &'static str, name: &str, trial: Option<usize>, f: impl FnOn
 }
 
 /// Runs `f` with the active tracer: this thread's worker collector when
-/// one is installed ([`worker_capture`]), else the global collector
+/// one is installed ([`worker_capture_on`]), else the global collector
 /// when one is active, else the [`NullTracer`]. This is what every
 /// default analysis entry point routes through.
 ///
@@ -1449,7 +1365,6 @@ mod tests {
         assert_eq!(m.newton_iterations, (1..=20).sum::<usize>());
         assert_eq!(m.gmin_fallbacks, 1);
         assert_eq!(m.damping_clamps, 20);
-        assert_eq!(m.lu_factorisations, (1..=20).sum::<usize>());
         assert_eq!(m.lu_swaps, 40);
         // One symbolic per attempt, iterations−1 pattern reuses each.
         assert_eq!(m.symbolic_factorizations, 20);
@@ -1462,7 +1377,6 @@ mod tests {
         assert_eq!(m.p50_iterations(), 10);
         assert_eq!(m.p95_iterations(), 19);
         assert_eq!(m.max_iterations(), 20);
-        assert!((m.iterations_per_solve() - 10.5).abs() < 1e-12);
         assert!((m.solve_seconds - 20.0 * 0.5e-3).abs() < 1e-12);
         assert_eq!(mc.events().len(), 20);
     }
@@ -1626,6 +1540,142 @@ mod tests {
         assert!(s.contains("newton iterations : 4 total, p50 4, p95 4, max 4"));
     }
 
+    fn tran_step(step: usize, devices_bypassed: usize) -> Event {
+        Event::TranStep {
+            step,
+            time: step as f64 * 1e-9,
+            newton_iterations: 2,
+            method: "trapezoidal",
+            devices_bypassed,
+            seconds: 0.0,
+        }
+    }
+
+    fn tran_reject(step: usize, newton_failed: bool) -> Event {
+        Event::TranReject {
+            step,
+            time: step as f64 * 1e-9,
+            dt: 5e-10,
+            error: if newton_failed { 0.0 } else { 2.5 },
+            newton_failed,
+            seconds: 0.0,
+        }
+    }
+
+    #[test]
+    fn summary_footer_golden_bytes() {
+        // Every event kind once or more, with dyadic wall times so the
+        // summed seconds are exact.
+        let dyadic = |iterations: usize, converged: bool, rung: Option<usize>, seconds: f64| {
+            Event::NewtonAttempt {
+                analysis: "dcop",
+                gmin: 1e-12,
+                rung,
+                iterations,
+                converged,
+                residual: 1e-9,
+                max_delta: 1e-10,
+                clamps: iterations / 2,
+                lu_dim: 5 + iterations,
+                lu_swaps: 1,
+                lu_symbolic: 1,
+                lu_refactor: iterations - 1,
+                seconds,
+            }
+        };
+        let mut mc = MetricsCollector::default();
+        for e in [
+            dyadic(3, true, None, 0.125),
+            dyadic(7, false, None, 0.25),
+            dyadic(4, true, Some(0), 0.0625),
+            dyadic(2, true, Some(1), 0.03125),
+            tran_step(1, 5),
+            tran_reject(2, false),
+            tran_reject(2, true),
+            tran_step(2, 0),
+            Event::AcPoint {
+                index: 0,
+                freq: 1e3,
+                lu_symbolic: 1,
+                lu_refactor: 0,
+                seconds: 0.0,
+            },
+            Event::SweepPoint {
+                index: 0,
+                value: 0.5,
+                newton_iterations: 3,
+                seconds: 0.0,
+            },
+            Event::NoisePoint {
+                index: 0,
+                freq: 10.0,
+                sources: 3,
+                seconds: 0.0,
+            },
+            Event::Phase {
+                name: "stscl::vtc".into(),
+                seconds: 0.5,
+            },
+        ] {
+            mc.record(&e);
+        }
+        assert_eq!(
+            mc.metrics().summary(),
+            "-- solver metrics --\n\
+             total solves      : 3 (4 attempts, 1 failed)\n\
+             newton iterations : 16 total, p50 3, p95 7, max 7\n\
+             gmin fallbacks    : 1\n\
+             damping clamps    : 7\n\
+             lu factorisations : 16 (max dim 12, 4 pivot swaps)\n\
+             lu pattern reuse  : 5 symbolic, 12 refactor (70.6% reuse)\n\
+             analysis points   : tran 2, ac 1, sweep 1, noise 1\n\
+             adaptive stepping : 2 rejected (1 lte), 5 device bypasses\n\
+             solve wall time   : 4.688e-1 s\n\
+             phase             : stscl::vtc 5.000e-1 s"
+        );
+    }
+
+    #[test]
+    fn registry_mirror_golden_bytes() {
+        // Without bypasses or an LTE overrun, neither of their series
+        // exists; with them, each appears with its summed count.
+        let mut mc = MetricsCollector::default();
+        mc.record(&tran_step(1, 0));
+        mc.record(&tran_reject(2, true));
+        assert_eq!(
+            mc.registry().render_prometheus(),
+            "# TYPE ulp_tran_steps_accepted_total counter\n\
+             ulp_tran_steps_accepted_total 1\n\
+             # TYPE ulp_tran_steps_rejected_total counter\n\
+             ulp_tran_steps_rejected_total 1\n"
+        );
+        mc.record(&tran_step(2, 3));
+        mc.record(&tran_reject(3, false));
+        mc.record(&tran_step(3, 4));
+        assert_eq!(
+            mc.registry().render_prometheus(),
+            "# TYPE ulp_tran_devices_bypassed_total counter\n\
+             ulp_tran_devices_bypassed_total 7\n\
+             # TYPE ulp_tran_lte_exceeded_total counter\n\
+             ulp_tran_lte_exceeded_total 1\n\
+             # TYPE ulp_tran_steps_accepted_total counter\n\
+             ulp_tran_steps_accepted_total 3\n\
+             # TYPE ulp_tran_steps_rejected_total counter\n\
+             ulp_tran_steps_rejected_total 2\n"
+        );
+        assert_eq!(
+            mc.registry().render_jsonl(),
+            "{\"metric\":\"ulp_tran_devices_bypassed_total\",\"type\":\"counter\",\
+             \"value\":7}\n\
+             {\"metric\":\"ulp_tran_lte_exceeded_total\",\"type\":\"counter\",\
+             \"value\":1}\n\
+             {\"metric\":\"ulp_tran_steps_accepted_total\",\"type\":\"counter\",\
+             \"value\":3}\n\
+             {\"metric\":\"ulp_tran_steps_rejected_total\",\"type\":\"counter\",\
+             \"value\":2}\n"
+        );
+    }
+
     #[test]
     fn percentile_nearest_rank_edge_cases() {
         assert_eq!(percentile(&[], 95.0), 0);
@@ -1692,7 +1742,6 @@ mod tests {
         assert_eq!(m.newton_iterations, s.newton_iterations);
         assert_eq!(m.gmin_fallbacks, s.gmin_fallbacks);
         assert_eq!(m.damping_clamps, s.damping_clamps);
-        assert_eq!(m.lu_factorisations, s.lu_factorisations);
         assert_eq!(m.lu_swaps, s.lu_swaps);
         assert_eq!(m.max_dimension, s.max_dimension);
         assert_eq!(m.tran_steps, s.tran_steps);
@@ -1723,11 +1772,11 @@ mod tests {
     #[test]
     fn worker_capture_without_global_is_transparent() {
         // In this test process the global collector may or may not have
-        // been decided yet; worker_capture must never install a local
+        // been decided yet; worker_capture_on must never install a local
         // collector when tracing is off, and must always run the
         // closure exactly once.
         let mut ran = 0;
-        let (r, mc) = worker_capture(|| {
+        let (r, mc) = worker_capture_on(0, || {
             ran += 1;
             7
         });

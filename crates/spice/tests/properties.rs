@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use ulp_device::Technology;
 use ulp_spice::dcop::DcOperatingPoint;
+use ulp_spice::telemetry::SolverCounters;
 use ulp_spice::tran::{TranOptions, Transient};
 use ulp_spice::{Netlist, Waveform};
 
@@ -334,6 +335,44 @@ fn synth_event(kind: u8, iters: usize, converged: bool, rung: u8) -> ulp_spice::
     }
 }
 
+/// The published cost-ledger columns, in order.
+const LEDGER_COLUMNS: [&str; SolverCounters::COUNT] = [
+    "attempts",
+    "solves",
+    "failures",
+    "newton_iterations",
+    "gmin_fallbacks",
+    "symbolic_factorizations",
+    "numeric_refactorizations",
+    "tran_steps",
+    "tran_rejected",
+    "lte_exceeded",
+    "devices_bypassed",
+    "ac_points",
+    "sweep_points",
+    "noise_points",
+];
+
+/// A counter snapshot holding `v[k]` in the `k`-th ledger column.
+fn snapshot(v: &[usize]) -> SolverCounters {
+    SolverCounters {
+        attempts: v[0],
+        solves: v[1],
+        failures: v[2],
+        newton_iterations: v[3],
+        gmin_fallbacks: v[4],
+        symbolic_factorizations: v[5],
+        numeric_refactorizations: v[6],
+        tran_steps: v[7],
+        tran_rejected: v[8],
+        lte_exceeded: v[9],
+        devices_bypassed: v[10],
+        ac_points: v[11],
+        sweep_points: v[12],
+        noise_points: v[13],
+    }
+}
+
 /// The derived statistics the observability pipeline reports; the
 /// fold-order contract is stated over these, not over the raw structs
 /// (whose internal sample order legitimately differs).
@@ -394,5 +433,38 @@ proptest! {
         prop_assert_eq!(derived_stats(&forward), derived_stats(&reference));
         prop_assert_eq!(derived_stats(&reverse), derived_stats(&reference));
         prop_assert_eq!(derived_stats(&right), derived_stats(&reference));
+    }
+
+    /// The arithmetic the counter table generates is field-wise:
+    /// adding `b` to `a` and diffing against `a` gives back `b`, a
+    /// ledger's total is the column-wise sum of its rows, and `fields`
+    /// pairs each ledger column, in its published order, with its value.
+    #[test]
+    fn solver_counter_arithmetic_is_field_wise(
+        a in prop::collection::vec(0usize..1 << 40, SolverCounters::COUNT),
+        b in prop::collection::vec(0usize..1 << 40, SolverCounters::COUNT),
+        rows in prop::collection::vec(
+            prop::collection::vec(0usize..1 << 20, SolverCounters::COUNT),
+            0..9,
+        ),
+    ) {
+        let (x, y) = (snapshot(&a), snapshot(&b));
+        let mut sum = x;
+        sum.add(&y);
+        prop_assert_eq!(sum.delta_since(x), y);
+        let expected: Vec<_> = LEDGER_COLUMNS
+            .into_iter()
+            .zip(a.iter().zip(&b).map(|(p, q)| p + q))
+            .collect();
+        prop_assert_eq!(sum.fields().to_vec(), expected);
+
+        let mut total = SolverCounters::default();
+        for row in &rows {
+            total.add(&snapshot(row));
+        }
+        let column_sums: Vec<_> = (0..SolverCounters::COUNT)
+            .map(|k| rows.iter().map(|r| r[k]).sum::<usize>())
+            .collect();
+        prop_assert_eq!(total.fields().map(|(_, v)| v).to_vec(), column_sums);
     }
 }

@@ -66,7 +66,6 @@ fn one_collector_aggregates_across_analyses() {
     assert_eq!(m.failures, 0);
     assert_eq!(m.gmin_fallbacks, 0);
     assert!(m.newton_iterations >= m.attempts);
-    assert_eq!(m.lu_factorisations, m.newton_iterations);
     assert!(m.p95_iterations() >= m.p50_iterations());
     assert!(m.max_iterations() >= m.p95_iterations());
     assert!(m.solve_seconds > 0.0);
