@@ -3,6 +3,16 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Tracked-file guard: no stage may leave a tracked file modified. Record
+# what is already modified now; the check at the end fails on anything
+# the run adds to that list. Skipped outside a git checkout.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    modified_before=$(git ls-files -m)
+    guard_tracked=1
+else
+    guard_tracked=
+fi
+
 # --workspace covers every crate including ulp-exec; keep the engine in
 # the -D warnings set explicitly so a membership change can't drop it.
 cargo build --release
@@ -110,8 +120,7 @@ echo "exec determinism (ULP_JOBS=1 and 4) OK"
 # Adaptive-transient artifact: it holds only deterministic fields (point
 # counts, step/bypass counters, deviations — no wall clock), so a
 # timing-free run must reproduce the committed BENCH_tran_adaptive.json
-# byte for byte. This runs before the timed bench below, which rewrites
-# that file in the tree.
+# byte for byte.
 cargo run --release -q -p ulp-bench --bin solver_bench -- \
     --stability results/tran_adaptive.stability.json
 cmp BENCH_tran_adaptive.json results/tran_adaptive.stability.json
@@ -123,11 +132,16 @@ rm -f results/tran_adaptive.stability.json
 # BENCH_tran_adaptive.json, and with --assert fails if the sparse path
 # ever loses to the dense path on the pre-amplifier transient workload
 # or the adaptive engine delivers less than 2x over the fixed march at
-# equal accuracy there.
-cargo run --release -q -p ulp-bench --bin solver_bench -- --assert
-test -s BENCH_solver.json
-grep -q '"preamp_tran_speedup"' BENCH_solver.json
-grep -q '"preamp_adaptive_speedup"' BENCH_solver.json
+# equal accuracy there. The binary writes both JSONs to its working
+# directory, so it runs in a scratch directory: this host's timings must
+# not overwrite the committed files.
+release_dir=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)
+bench_dir=$(mktemp -d)
+(cd "$bench_dir" && "$release_dir/solver_bench" --assert)
+test -s "$bench_dir/BENCH_solver.json"
+grep -q '"preamp_tran_speedup"' "$bench_dir/BENCH_solver.json"
+grep -q '"preamp_adaptive_speedup"' "$bench_dir/BENCH_solver.json"
+rm -rf "$bench_dir"
 echo "solver bench (committed adaptive artifact + sparse vs dense) OK"
 
 # Scaling bench: always run it (it asserts serial == parallel results);
@@ -196,10 +210,35 @@ if command -v rustup >/dev/null 2>&1 && rustup component list --installed 2>/dev
 else
     echo "miri: toolchain component unavailable — skipped"
 fi
-if command -v rustup >/dev/null 2>&1 && rustup toolchain list 2>/dev/null | grep -q '^nightly'; then
-    RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -p ulp-exec -q 2>/dev/null \
-        && echo "tsan (ulp-exec) OK" \
-        || echo "tsan: nightly present but sanitizer build failed — skipped (non-fatal)"
-else
+# TSan needs std rebuilt with the sanitizer (-Zbuild-std), which needs
+# nightly's rust-src; without it the build can only fail with an ABI
+# mismatch, so that case is a named skip. With it, a build or test
+# failure is fatal and prints its log.
+if ! command -v rustup >/dev/null 2>&1 || ! rustup toolchain list 2>/dev/null | grep -q '^nightly'; then
     echo "tsan: nightly toolchain unavailable — skipped"
+elif ! rustup component list --toolchain nightly --installed 2>/dev/null | grep -q '^rust-src'; then
+    echo "tsan: nightly lacks rust-src, which -Zbuild-std needs to rebuild std with the sanitizer — skipped"
+else
+    host=$(rustc +nightly -vV | sed -n 's/^host: //p')
+    tsan_log=$(mktemp)
+    if RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
+        cargo +nightly test -Zbuild-std --target "$host" -p ulp-exec -q >"$tsan_log" 2>&1; then
+        rm -f "$tsan_log"
+        echo "tsan (ulp-exec) OK"
+    else
+        cat "$tsan_log"
+        rm -f "$tsan_log"
+        echo "FAIL: tsan (ulp-exec)"
+        exit 1
+    fi
+fi
+
+if [ -n "$guard_tracked" ]; then
+    modified_now=$(comm -13 <(printf '%s\n' "$modified_before" | sort) <(git ls-files -m | sort))
+    if [ -n "$modified_now" ]; then
+        echo "FAIL: the run modified tracked files:"
+        echo "$modified_now"
+        exit 1
+    fi
+    echo "tracked files unchanged by the run OK"
 fi

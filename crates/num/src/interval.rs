@@ -17,13 +17,13 @@
 //! `ulp-device`) are tight to a couple of ulps because a monotone
 //! function attains its extrema at the interval endpoints.
 //!
-//! The linear-algebra layer mirrors the dense API of
-//! [`crate::matrix::Matrix`] / [`crate::lu::LuFactor`] so the MNA
-//! assembler can stamp either a point matrix or an interval matrix from
-//! the same pattern:
+//! The linear-algebra layer stores interval matrices in the generic
+//! dense [`Matrix`] (`Matrix<Interval>`), so the MNA assembler stamps a
+//! point matrix or an interval matrix through the same `zeros` /
+//! `add_at` / `(i, j)` surface:
 //!
-//! * [`IntervalMatrix`] — dense row-major storage with the same
-//!   `zeros` / `add_at` / `(i, j)` indexing surface;
+//! * [`Matrix::from_matrix`] / [`Matrix::mid`] — lifting a point matrix
+//!   and taking the midpoint matrix;
 //! * [`gershgorin_nonsingular`] — strict diagonal dominance over the
 //!   whole box, the cheap sufficient regularity test;
 //! * [`prove_regular`] — the midpoint-preconditioned regularity test
@@ -37,7 +37,7 @@
 use crate::lu::{LuFactor, SolveError};
 use crate::matrix::Matrix;
 use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
+use std::ops::{Add, Mul, Neg, Sub};
 
 /// Ulps of outward slack applied to arithmetic results.
 const ARITH_ULPS: u32 = 1;
@@ -362,27 +362,10 @@ impl Mul for Interval {
     }
 }
 
-/// A dense interval matrix mirroring [`Matrix`]'s storage and indexing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntervalMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<Interval>,
-}
-
-impl IntervalMatrix {
-    /// A `rows x cols` matrix of point zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        IntervalMatrix {
-            rows,
-            cols,
-            data: vec![Interval::ZERO; rows * cols],
-        }
-    }
-
+impl Matrix<Interval> {
     /// Lifts a point matrix.
     pub fn from_matrix(a: &Matrix) -> Self {
-        let mut m = IntervalMatrix::zeros(a.rows(), a.cols());
+        let mut m = Matrix::zeros(a.rows(), a.cols());
         for i in 0..a.rows() {
             for j in 0..a.cols() {
                 m[(i, j)] = Interval::point(a[(i, j)]);
@@ -391,71 +374,15 @@ impl IntervalMatrix {
         m
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// True for square matrices.
-    pub fn is_square(&self) -> bool {
-        self.rows == self.cols
-    }
-
-    /// Resets every entry to the point zero (same surface as
-    /// [`Matrix::clear`], for allocation-free restamping).
-    pub fn clear(&mut self) {
-        self.data.fill(Interval::ZERO);
-    }
-
-    /// Adds `v` into entry `(i, j)` — the MNA stamping primitive.
-    pub fn add_at(&mut self, i: usize, j: usize, v: Interval) {
-        let e = self[(i, j)] + v;
-        self[(i, j)] = e;
-    }
-
     /// The midpoint matrix.
     pub fn mid(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
+        let mut m = Matrix::zeros(self.rows(), self.cols());
+        for i in 0..self.rows() {
+            for j in 0..self.cols() {
                 m[(i, j)] = self[(i, j)].mid();
             }
         }
         m
-    }
-
-    /// Interval matrix-vector product.
-    pub fn mul_vec(&self, x: &[Interval]) -> Vec<Interval> {
-        assert_eq!(x.len(), self.cols, "mul_vec dimension mismatch");
-        (0..self.rows)
-            .map(|i| {
-                let mut acc = Interval::ZERO;
-                for j in 0..self.cols {
-                    acc = acc + self[(i, j)] * x[j];
-                }
-                acc
-            })
-            .collect()
-    }
-}
-
-impl Index<(usize, usize)> for IntervalMatrix {
-    type Output = Interval;
-    fn index(&self, (i, j): (usize, usize)) -> &Interval {
-        assert!(i < self.rows && j < self.cols, "index out of bounds");
-        &self.data[i * self.cols + j]
-    }
-}
-
-impl IndexMut<(usize, usize)> for IntervalMatrix {
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut Interval {
-        assert!(i < self.rows && j < self.cols, "index out of bounds");
-        &mut self.data[i * self.cols + j]
     }
 }
 
@@ -465,8 +392,8 @@ impl IndexMut<(usize, usize)> for IntervalMatrix {
 /// proves every member matrix nonsingular. Cheap (O(n²)) but weak for
 /// MNA systems whose voltage-source branch rows have zero diagonals —
 /// use [`prove_regular`] for those.
-pub fn gershgorin_nonsingular(a: &IntervalMatrix) -> bool {
-    if !a.is_square() || a.rows() == 0 {
+pub fn gershgorin_nonsingular(a: &Matrix<Interval>) -> bool {
+    if !a.is_square() {
         return false;
     }
     for i in 0..a.rows() {
@@ -492,8 +419,8 @@ pub fn gershgorin_nonsingular(a: &IntervalMatrix) -> bool {
 /// nonsingular. Returns `false` (meaning *unproven*, not singular)
 /// when the midpoint matrix itself fails to factor or the residual
 /// bound reaches 1.
-pub fn prove_regular(a: &IntervalMatrix) -> bool {
-    if !a.is_square() || a.rows() == 0 {
+pub fn prove_regular(a: &Matrix<Interval>) -> bool {
+    if !a.is_square() {
         return false;
     }
     let n = a.rows();
@@ -551,7 +478,7 @@ pub fn prove_regular(a: &IntervalMatrix) -> bool {
 pub struct IntervalLu {
     dim: usize,
     /// Combined L (below diagonal, unit diagonal implied) and U factors.
-    lu: IntervalMatrix,
+    lu: Matrix<Interval>,
     perm: Vec<usize>,
     /// Column permutation: `cperm[k]` is the original column eliminated
     /// at step `k`.
@@ -560,7 +487,7 @@ pub struct IntervalLu {
 
 impl IntervalLu {
     /// Factors an interval matrix. See the type docs for semantics.
-    pub fn new(a: &IntervalMatrix) -> Result<Self, SolveError> {
+    pub fn new(a: &Matrix<Interval>) -> Result<Self, SolveError> {
         if !a.is_square() {
             return Err(SolveError::NotSquare);
         }
@@ -591,11 +518,7 @@ impl IntervalLu {
                 return Err(SolveError::Singular { step: k });
             }
             if best_r != k {
-                for j in 0..n {
-                    let t = lu[(k, j)];
-                    lu[(k, j)] = lu[(best_r, j)];
-                    lu[(best_r, j)] = t;
-                }
+                lu.swap_rows(k, best_r);
                 perm.swap(k, best_r);
             }
             if best_c != k {
@@ -771,7 +694,7 @@ mod tests {
                 }
                 mid[(i, i)] += 3.0;
             }
-            let mut a = IntervalMatrix::from_matrix(&mid);
+            let mut a = Matrix::from_matrix(&mid);
             for i in 0..n {
                 for j in 0..n {
                     a[(i, j)] = a[(i, j)].inflate(0.01);
@@ -806,7 +729,7 @@ mod tests {
     #[test]
     fn interval_lu_mirrors_point_lu_on_degenerate_intervals() {
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let ia = IntervalMatrix::from_matrix(&a);
+        let ia = Matrix::from_matrix(&a);
         let ilu = IntervalLu::new(&ia).unwrap();
         let x = ilu
             .solve(&[Interval::point(5.0), Interval::point(10.0)])
@@ -821,7 +744,7 @@ mod tests {
     fn interval_lu_rejects_possibly_singular_boxes() {
         // [0.9, 1.1] on the diagonal of a row otherwise equal to the
         // next: the box contains a rank-deficient member.
-        let mut a = IntervalMatrix::zeros(2, 2);
+        let mut a = Matrix::<Interval>::zeros(2, 2);
         a[(0, 0)] = Interval::new(0.9, 1.1);
         a[(0, 1)] = Interval::point(1.0);
         a[(1, 0)] = Interval::point(1.0);
@@ -831,14 +754,14 @@ mod tests {
         let err = IntervalLu::new(&a).unwrap_err();
         assert!(matches!(err, SolveError::Singular { step: 1 }));
         assert!(matches!(
-            IntervalLu::new(&IntervalMatrix::zeros(2, 3)).unwrap_err(),
+            IntervalLu::new(&Matrix::<Interval>::zeros(2, 3)).unwrap_err(),
             SolveError::NotSquare
         ));
     }
 
     #[test]
     fn gershgorin_and_preconditioned_regularity() {
-        let mut a = IntervalMatrix::zeros(3, 3);
+        let mut a = Matrix::<Interval>::zeros(3, 3);
         for i in 0..3 {
             a[(i, i)] = Interval::new(4.0, 5.0);
             for j in 0..3 {
@@ -852,7 +775,7 @@ mod tests {
 
         // A branch-row style matrix: zero diagonal defeats Gershgorin
         // but the preconditioned test still proves regularity.
-        let mut b = IntervalMatrix::zeros(2, 2);
+        let mut b = Matrix::<Interval>::zeros(2, 2);
         b[(0, 0)] = Interval::new(0.9, 1.1);
         b[(0, 1)] = Interval::point(1.0);
         b[(1, 0)] = Interval::point(1.0);
@@ -861,7 +784,7 @@ mod tests {
         assert!(prove_regular(&b));
 
         // Wide enough to contain a singular member: both must refuse.
-        let mut c = IntervalMatrix::zeros(2, 2);
+        let mut c = Matrix::<Interval>::zeros(2, 2);
         c[(0, 0)] = Interval::new(-1.0, 1.0);
         c[(0, 1)] = Interval::point(0.0);
         c[(1, 0)] = Interval::point(0.0);
@@ -872,7 +795,7 @@ mod tests {
 
     #[test]
     fn matrix_surface_mirrors_dense_api() {
-        let mut m = IntervalMatrix::zeros(2, 2);
+        let mut m = Matrix::<Interval>::zeros(2, 2);
         assert!(m.is_square());
         m.add_at(0, 0, Interval::point(1.0));
         m.add_at(0, 0, Interval::point(2.0));

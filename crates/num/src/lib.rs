@@ -2,14 +2,16 @@
 //!
 //! The analog circuit simulator, the ADC metrology and the Monte-Carlo
 //! mismatch experiments in the workspace all need a small amount of
-//! numerical machinery: dense and sparse real/complex linear algebra with
-//! LU factorisation (for modified nodal analysis — the sparse path reuses
-//! a symbolic factorization across restamps of a fixed pattern), a
-//! radix-2 FFT (for
-//! SNDR/ENOB sine tests), descriptive statistics and histogramming (for
-//! INL/DNL and Monte-Carlo summaries), and sweep-grid helpers. None of the
-//! approved offline dependencies provide these, so this crate implements
-//! them from scratch with no dependencies of its own.
+//! numerical machinery: dense and sparse linear algebra with LU
+//! factorisation, generic over the scalar ([`scalar`]: real and complex
+//! for modified nodal analysis and AC/noise — the sparse path reuses a
+//! symbolic factorization across restamps of a fixed pattern), interval
+//! arithmetic and interval LU for the sound certifier, a radix-2 FFT
+//! (for SNDR/ENOB sine tests), descriptive statistics and histogramming
+//! (for INL/DNL and Monte-Carlo summaries), the adaptive-transient step
+//! controller, and sweep-grid helpers. None of the approved offline
+//! dependencies provide these, so this crate implements them from
+//! scratch with no dependencies of its own.
 //!
 //! # Example
 //!
@@ -37,12 +39,14 @@ pub mod interval;
 pub mod lu;
 pub mod matrix;
 pub mod poly;
+pub mod scalar;
 pub mod sparse;
 pub mod stats;
 
 pub use complex::Complex;
 pub use control::{weighted_error_norm, StepController};
-pub use interval::{Interval, IntervalLu, IntervalMatrix};
-pub use lu::{ComplexLuFactor, LuFactor, SolveError};
-pub use matrix::{ComplexMatrix, Matrix};
-pub use sparse::{ComplexSparseLu, ComplexSparseMatrix, SparseLu, SparseMatrix};
+pub use interval::{Interval, IntervalLu};
+pub use lu::{LuFactor, SolveError};
+pub use matrix::Matrix;
+pub use scalar::{Field, Scalar};
+pub use sparse::{SparseLu, SparseMatrix};

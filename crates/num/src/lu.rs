@@ -1,11 +1,13 @@
-//! LU factorisation with partial pivoting, real and complex.
+//! Dense LU factorisation with partial pivoting, generic over a
+//! [`Field`] (real or complex).
 //!
-//! This is the linear-solver core of the circuit simulator: every Newton
-//! iteration of the DC operating-point solver and every transient timestep
-//! factors the (small, dense) MNA Jacobian once and back-substitutes.
+//! This is the dense linear-solver core of the circuit simulator: the
+//! dense MNA backend factors the (small) Jacobian once per Newton
+//! iteration or timestep and back-substitutes, and AC/noise analysis do
+//! the same with the complex small-signal matrix.
 
-use crate::complex::Complex;
-use crate::matrix::{ComplexMatrix, Matrix};
+use crate::matrix::Matrix;
+use crate::scalar::Field;
 use std::error::Error;
 use std::fmt;
 
@@ -56,10 +58,34 @@ impl fmt::Display for SolveError {
 
 impl Error for SolveError {}
 
-/// Pivot magnitudes below this are treated as singular.
-const PIVOT_EPS: f64 = 1e-300;
+/// Pivot magnitudes (in [`Field::pivot_size`] units) below this are
+/// treated as singular.
+pub(crate) const PIVOT_EPS: f64 = 1e-300;
 
-/// LU factorisation of a real square matrix with partial (row) pivoting.
+/// Permutation parity: `+1.0` for an even permutation, `-1.0` for odd.
+pub(crate) fn parity(perm: &[usize]) -> f64 {
+    let mut seen = vec![false; perm.len()];
+    let mut sign = 1.0;
+    for start in 0..perm.len() {
+        if seen[start] {
+            continue;
+        }
+        let mut len = 0usize;
+        let mut i = start;
+        while !seen[i] {
+            seen[i] = true;
+            i = perm[i];
+            len += 1;
+        }
+        if len.is_multiple_of(2) {
+            sign = -sign;
+        }
+    }
+    sign
+}
+
+/// LU factorisation of a square real (the default) or complex matrix
+/// with partial (row) pivoting.
 ///
 /// # Example
 ///
@@ -75,33 +101,31 @@ const PIVOT_EPS: f64 = 1e-300;
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct LuFactor {
-    lu: Matrix,
+pub struct LuFactor<T = f64> {
+    lu: Matrix<T>,
     perm: Vec<usize>,
-    sign: f64,
 }
 
-impl LuFactor {
+impl<T: Field> LuFactor<T> {
     /// Factors `a` as `P·A = L·U`.
     ///
     /// # Errors
     ///
     /// Returns [`SolveError::NotSquare`] for non-square input and
     /// [`SolveError::Singular`] if a zero pivot is encountered.
-    pub fn new(a: &Matrix) -> Result<Self, SolveError> {
+    pub fn new(a: &Matrix<T>) -> Result<Self, SolveError> {
         if !a.is_square() {
             return Err(SolveError::NotSquare);
         }
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         for k in 0..n {
             // Find the pivot row.
             let mut p = k;
-            let mut max = lu[(k, k)].abs();
+            let mut max = lu[(k, k)].pivot_size();
             for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
+                let v = lu[(i, k)].pivot_size();
                 if v > max {
                     max = v;
                     p = i;
@@ -113,7 +137,6 @@ impl LuFactor {
             if p != k {
                 lu.swap_rows(p, k);
                 perm.swap(p, k);
-                sign = -sign;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -125,7 +148,7 @@ impl LuFactor {
                 }
             }
         }
-        Ok(LuFactor { lu, perm, sign })
+        Ok(LuFactor { lu, perm })
     }
 
     /// Dimension of the factored system.
@@ -151,7 +174,20 @@ impl LuFactor {
     ///
     /// Returns [`SolveError::DimensionMismatch`] if `b` has the wrong
     /// length.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SolveError> {
+    pub fn solve(&self, b: &[T]) -> Result<Vec<T>, SolveError> {
+        let mut x = Vec::with_capacity(b.len());
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A·x = b` into a caller-owned buffer, avoiding the
+    /// per-solve allocation of [`LuFactor::solve`] (which calls this).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SolveError::DimensionMismatch`] if `b` has the wrong
+    /// length.
+    pub fn solve_into(&self, b: &[T], x: &mut Vec<T>) -> Result<(), SolveError> {
         let n = self.dim();
         if b.len() != n {
             return Err(SolveError::DimensionMismatch {
@@ -160,40 +196,6 @@ impl LuFactor {
             });
         }
         // Apply permutation, then forward/backward substitution.
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
-        for i in 1..n {
-            let mut s = x[i];
-            for (j, &xj) in x.iter().enumerate().take(i) {
-                s -= self.lu[(i, j)] * xj;
-            }
-            x[i] = s;
-        }
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for (j, &xj) in x.iter().enumerate().take(n).skip(i + 1) {
-                s -= self.lu[(i, j)] * xj;
-            }
-            x[i] = s / self.lu[(i, i)];
-        }
-        Ok(x)
-    }
-
-    /// Solves `A·x = b` into a caller-owned buffer, avoiding the
-    /// per-solve allocation of [`LuFactor::solve`]. The arithmetic and
-    /// its order are identical to `solve`, so results are bitwise equal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::DimensionMismatch`] if `b` has the wrong
-    /// length.
-    pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<(), SolveError> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(SolveError::DimensionMismatch {
-                expected: n,
-                actual: b.len(),
-            });
-        }
         x.clear();
         x.extend(self.perm.iter().map(|&p| b[p]));
         for i in 1..n {
@@ -212,12 +214,14 @@ impl LuFactor {
         }
         Ok(())
     }
+}
 
-    /// Determinant of the original matrix (product of pivots × pivot
-    /// sign).
+impl LuFactor {
+    /// Determinant of the original matrix (product of pivots × the
+    /// permutation sign).
     pub fn det(&self) -> f64 {
         let n = self.dim();
-        (0..n).fold(self.sign, |acc, i| acc * self.lu[(i, i)])
+        (0..n).fold(parity(&self.perm), |acc, i| acc * self.lu[(i, i)])
     }
 
     /// Ratio of the largest to the smallest pivot magnitude,
@@ -264,116 +268,10 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, SolveError> {
     LuFactor::new(a)?.solve(b)
 }
 
-/// LU factorisation of a complex square matrix with partial pivoting,
-/// used by AC analysis.
-///
-/// # Example
-///
-/// ```
-/// use ulp_num::{Complex, ComplexMatrix};
-/// use ulp_num::lu::ComplexLuFactor;
-///
-/// # fn main() -> Result<(), ulp_num::lu::SolveError> {
-/// let mut a = ComplexMatrix::zeros(1, 1);
-/// a[(0, 0)] = Complex::new(0.0, 2.0);
-/// let lu = ComplexLuFactor::new(&a)?;
-/// let x = lu.solve(&[Complex::new(2.0, 0.0)])?;
-/// assert!((x[0] - Complex::new(0.0, -1.0)).abs() < 1e-15);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct ComplexLuFactor {
-    lu: ComplexMatrix,
-    perm: Vec<usize>,
-}
-
-impl ComplexLuFactor {
-    /// Factors `a` as `P·A = L·U`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::NotSquare`] for non-square input and
-    /// [`SolveError::Singular`] on a zero pivot.
-    pub fn new(a: &ComplexMatrix) -> Result<Self, SolveError> {
-        if a.rows() != a.cols() {
-            return Err(SolveError::NotSquare);
-        }
-        let n = a.rows();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        for k in 0..n {
-            let mut p = k;
-            let mut max = lu[(k, k)].norm_sqr();
-            for i in (k + 1)..n {
-                let v = lu[(i, k)].norm_sqr();
-                if v > max {
-                    max = v;
-                    p = i;
-                }
-            }
-            if max < PIVOT_EPS || !max.is_finite() {
-                return Err(SolveError::Singular { step: k });
-            }
-            if p != k {
-                lu.swap_rows(p, k);
-                perm.swap(p, k);
-            }
-            let pivot = lu[(k, k)];
-            for i in (k + 1)..n {
-                let factor = lu[(i, k)] / pivot;
-                lu[(i, k)] = factor;
-                for j in (k + 1)..n {
-                    let delta = factor * lu[(k, j)];
-                    lu[(i, j)] -= delta;
-                }
-            }
-        }
-        Ok(ComplexLuFactor { lu, perm })
-    }
-
-    /// Dimension of the factored system.
-    pub fn dim(&self) -> usize {
-        self.lu.rows()
-    }
-
-    /// Solves `A·x = b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::DimensionMismatch`] if `b` has the wrong
-    /// length.
-    pub fn solve(&self, b: &[Complex]) -> Result<Vec<Complex>, SolveError> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(SolveError::DimensionMismatch {
-                expected: n,
-                actual: b.len(),
-            });
-        }
-        let mut x: Vec<Complex> = self.perm.iter().map(|&p| b[p]).collect();
-        for i in 1..n {
-            let mut s = x[i];
-            for (j, &xj) in x.iter().enumerate().take(i) {
-                s -= self.lu[(i, j)] * xj;
-            }
-            x[i] = s;
-        }
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for (j, &xj) in x.iter().enumerate().take(n).skip(i + 1) {
-                s -= self.lu[(i, j)] * xj;
-            }
-            x[i] = s / self.lu[(i, i)];
-        }
-        Ok(x)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::Matrix;
+    use crate::complex::Complex;
 
     #[test]
     fn solves_known_system() {
@@ -412,7 +310,7 @@ mod tests {
 
     #[test]
     fn non_square_rejected() {
-        let a = Matrix::zeros(2, 3);
+        let a = Matrix::<f64>::zeros(2, 3);
         assert_eq!(LuFactor::new(&a).unwrap_err(), SolveError::NotSquare);
     }
 
@@ -489,14 +387,14 @@ mod tests {
     #[test]
     fn complex_solver_matches_real_on_real_input() {
         let ar = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]);
-        let mut ac = ComplexMatrix::zeros(2, 2);
+        let mut ac = Matrix::<Complex>::zeros(2, 2);
         for i in 0..2 {
             for j in 0..2 {
                 ac[(i, j)] = Complex::from_re(ar[(i, j)]);
             }
         }
         let xr = solve(&ar, &[1.0, 1.0]).unwrap();
-        let xc = ComplexLuFactor::new(&ac)
+        let xc = LuFactor::new(&ac)
             .unwrap()
             .solve(&[Complex::ONE, Complex::ONE])
             .unwrap();
@@ -515,9 +413,9 @@ mod tests {
         let omega = 2.0 * std::f64::consts::PI * 159.154_943; // ≈ 1/(2πRC)·τ scaling
         let zc = Complex::new(0.0, -1.0 / (omega * c));
         // Nodal: (1/R + jωC)·V = 1/R
-        let mut a = ComplexMatrix::zeros(1, 1);
+        let mut a = Matrix::<Complex>::zeros(1, 1);
         a[(0, 0)] = Complex::from_re(1.0 / r) + Complex::new(0.0, omega * c);
-        let v = ComplexLuFactor::new(&a)
+        let v = LuFactor::new(&a)
             .unwrap()
             .solve(&[Complex::from_re(1.0 / r)])
             .unwrap();
@@ -527,9 +425,9 @@ mod tests {
 
     #[test]
     fn complex_singular_rejected() {
-        let a = ComplexMatrix::zeros(2, 2);
+        let a = Matrix::<Complex>::zeros(2, 2);
         assert!(matches!(
-            ComplexLuFactor::new(&a),
+            LuFactor::new(&a),
             Err(SolveError::Singular { .. })
         ));
     }

@@ -1,19 +1,21 @@
-//! Dense real and complex matrices in row-major storage.
+//! Dense row-major matrices, generic over the entry type.
 //!
-//! These back the dense fallback path of the modified-nodal-analysis
-//! (MNA) system matrices in [`ulp-spice`](../../spice) and serve as the
-//! reference implementation in equivalence tests. The hot analysis loops
-//! restamp a fixed sparsity pattern thousands of times, so production
-//! solves go through [`crate::sparse`], which reuses a symbolic
-//! factorization across restamps; the dense representation remains the
-//! simplest-possible oracle and the right choice for tiny one-shot
-//! systems.
+//! `Matrix` (real by default) backs the dense fallback path of the
+//! modified-nodal-analysis (MNA) system matrices in
+//! [`ulp-spice`](../../spice) and serves as the reference implementation
+//! in equivalence tests; `Matrix<Complex>` holds the small-signal system
+//! of AC and noise analysis, and `Matrix<Interval>` the certifier's
+//! interval Jacobian. The hot analysis loops restamp a fixed sparsity
+//! pattern thousands of times, so production solves go through
+//! [`crate::sparse`], which reuses a symbolic factorization across
+//! restamps; the dense representation remains the simplest-possible
+//! oracle and the right choice for tiny one-shot systems.
 
-use crate::complex::Complex;
+use crate::scalar::Scalar;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// A dense row-major matrix of `f64`.
+/// A dense row-major matrix of `T` (`f64` unless stated otherwise).
 ///
 /// # Example
 ///
@@ -26,13 +28,13 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(m.mul_vec(&[3.0, 4.0]), vec![3.0, 8.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
+pub struct Matrix<T = f64> {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    data: Vec<T>,
 }
 
-impl Matrix {
+impl<T: Scalar> Matrix<T> {
     /// Creates a `rows × cols` matrix of zeros.
     ///
     /// # Panics
@@ -43,10 +45,71 @@ impl Matrix {
         Matrix {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: vec![T::ZERO; rows * cols],
         }
     }
 
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Returns `true` if the matrix is square.
+    pub fn is_square(&self) -> bool {
+        self.rows == self.cols
+    }
+
+    /// Sets every entry to zero, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.data.fill(T::ZERO);
+    }
+
+    /// Adds `value` to entry `(row, col)` — the fundamental MNA "stamp"
+    /// operation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the indices are out of bounds.
+    pub fn add_at(&mut self, row: usize, col: usize, value: T) {
+        self[(row, col)] = self[(row, col)] + value;
+    }
+
+    /// Matrix–vector product `A·x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.cols()`.
+    pub fn mul_vec(&self, x: &[T]) -> Vec<T> {
+        assert_eq!(x.len(), self.cols, "dimension mismatch in mul_vec");
+        (0..self.rows)
+            .map(|i| {
+                let row = self.row(i).iter().zip(x);
+                row.fold(T::ZERO, |acc, (&a, &b)| acc + a * b)
+            })
+            .collect()
+    }
+
+    /// Borrows row `i` as a slice.
+    pub fn row(&self, i: usize) -> &[T] {
+        &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    pub(crate) fn swap_rows(&mut self, a: usize, b: usize) {
+        if a == b {
+            return;
+        }
+        for c in 0..self.cols {
+            self.data.swap(a * self.cols + c, b * self.cols + c);
+        }
+    }
+}
+
+impl Matrix {
     /// Creates the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -77,82 +140,23 @@ impl Matrix {
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Returns `true` if the matrix is square.
-    pub fn is_square(&self) -> bool {
-        self.rows == self.cols
-    }
-
-    /// Sets every entry to zero, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
-    /// Adds `value` to entry `(row, col)` — the fundamental MNA "stamp"
-    /// operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    pub fn add_at(&mut self, row: usize, col: usize, value: f64) {
-        self[(row, col)] += value;
-    }
-
-    /// Matrix–vector product `A·x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()`.
-    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "dimension mismatch in mul_vec");
-        let mut y = vec![0.0; self.rows];
-        for (i, yi) in y.iter_mut().enumerate() {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            *yi = row.iter().zip(x).map(|(a, b)| a * b).sum();
-        }
-        y
-    }
-
-    /// Borrows row `i` as a slice.
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Maximum absolute entry (∞-norm building block); 0 for the zero
     /// matrix.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, v| m.max(v.abs()))
     }
-
-    pub(crate) fn swap_rows(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        for c in 0..self.cols {
-            self.data.swap(a * self.cols + c, b * self.cols + c);
-        }
-    }
 }
 
-impl Index<(usize, usize)> for Matrix {
-    type Output = f64;
-    fn index(&self, (r, c): (usize, usize)) -> &f64 {
+impl<T> Index<(usize, usize)> for Matrix<T> {
+    type Output = T;
+    fn index(&self, (r, c): (usize, usize)) -> &T {
         assert!(r < self.rows && c < self.cols, "matrix index out of bounds");
         &self.data[r * self.cols + c]
     }
 }
 
-impl IndexMut<(usize, usize)> for Matrix {
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
+impl<T> IndexMut<(usize, usize)> for Matrix<T> {
+    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut T {
         assert!(r < self.rows && c < self.cols, "matrix index out of bounds");
         &mut self.data[r * self.cols + c]
     }
@@ -170,112 +174,14 @@ impl fmt::Display for Matrix {
     }
 }
 
-/// A dense row-major matrix of [`Complex`], used by AC small-signal
-/// analysis.
-///
-/// # Example
-///
-/// ```
-/// use ulp_num::{Complex, ComplexMatrix};
-///
-/// let mut m = ComplexMatrix::zeros(1, 1);
-/// m[(0, 0)] = Complex::new(0.0, 2.0);
-/// let y = m.mul_vec(&[Complex::ONE]);
-/// assert_eq!(y[0], Complex::new(0.0, 2.0));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComplexMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<Complex>,
-}
-
-impl ComplexMatrix {
-    /// Creates a `rows × cols` matrix of complex zeros.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "matrix dimensions must be nonzero");
-        ComplexMatrix {
-            rows,
-            cols,
-            data: vec![Complex::ZERO; rows * cols],
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Sets every entry to zero, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = Complex::ZERO);
-    }
-
-    /// Adds `value` to entry `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    pub fn add_at(&mut self, row: usize, col: usize, value: Complex) {
-        self[(row, col)] += value;
-    }
-
-    /// Matrix–vector product `A·x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()`.
-    pub fn mul_vec(&self, x: &[Complex]) -> Vec<Complex> {
-        assert_eq!(x.len(), self.cols, "dimension mismatch in mul_vec");
-        let mut y = vec![Complex::ZERO; self.rows];
-        for (i, yi) in y.iter_mut().enumerate() {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            *yi = row.iter().zip(x).map(|(a, b)| *a * *b).sum();
-        }
-        y
-    }
-
-    pub(crate) fn swap_rows(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        for c in 0..self.cols {
-            self.data.swap(a * self.cols + c, b * self.cols + c);
-        }
-    }
-}
-
-impl Index<(usize, usize)> for ComplexMatrix {
-    type Output = Complex;
-    fn index(&self, (r, c): (usize, usize)) -> &Complex {
-        assert!(r < self.rows && c < self.cols, "matrix index out of bounds");
-        &self.data[r * self.cols + c]
-    }
-}
-
-impl IndexMut<(usize, usize)> for ComplexMatrix {
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut Complex {
-        assert!(r < self.rows && c < self.cols, "matrix index out of bounds");
-        &mut self.data[r * self.cols + c]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::Complex;
 
     #[test]
     fn zeros_and_identity() {
-        let z = Matrix::zeros(3, 2);
+        let z = Matrix::<f64>::zeros(3, 2);
         assert_eq!(z.rows(), 3);
         assert_eq!(z.cols(), 2);
         assert!(!z.is_square());
@@ -324,7 +230,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn index_out_of_bounds_panics() {
-        let m = Matrix::zeros(2, 2);
+        let m = Matrix::<f64>::zeros(2, 2);
         let _ = m[(2, 0)];
     }
 
@@ -339,7 +245,7 @@ mod tests {
 
     #[test]
     fn complex_matrix_mul() {
-        let mut m = ComplexMatrix::zeros(2, 2);
+        let mut m = Matrix::<Complex>::zeros(2, 2);
         m[(0, 0)] = Complex::ONE;
         m[(0, 1)] = Complex::I;
         m[(1, 1)] = Complex::new(2.0, 0.0);
@@ -350,7 +256,7 @@ mod tests {
 
     #[test]
     fn complex_clear_and_stamp() {
-        let mut m = ComplexMatrix::zeros(1, 1);
+        let mut m = Matrix::<Complex>::zeros(1, 1);
         m.add_at(0, 0, Complex::I);
         m.add_at(0, 0, Complex::I);
         assert_eq!(m[(0, 0)], Complex::new(0.0, 2.0));

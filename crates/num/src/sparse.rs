@@ -1,4 +1,5 @@
-//! Sparse linear algebra for repeated solves on a fixed pattern.
+//! Sparse linear algebra for repeated solves on a fixed pattern,
+//! generic over the scalar (real by default, complex for AC analysis).
 //!
 //! MNA matrices have a sparsity pattern fixed by the netlist topology:
 //! every Newton iteration, sweep point and transient step restamps the
@@ -26,24 +27,20 @@
 //! so diagnostics built on it (e.g. the near-singular lint) work
 //! unchanged on either path.
 
-use crate::complex::Complex;
-use crate::lu::SolveError;
-use crate::matrix::{ComplexMatrix, Matrix};
-
-/// Pivot magnitudes below this are treated as singular (the dense
-/// solver's threshold).
-const PIVOT_EPS: f64 = 1e-300;
+use crate::lu::{parity, SolveError, PIVOT_EPS};
+use crate::matrix::Matrix;
+use crate::scalar::{Field, Scalar};
 
 /// Relative threshold for pivot admissibility: a candidate row is
 /// acceptable when its column-`k` magnitude is at least this fraction of
 /// the column maximum. Within the admissible set the row with the
 /// fewest active nonzeros wins (Markowitz-style, with the natural
 /// column order fixed), which bounds element growth while keeping
-/// fill-in low.
-const PIVOT_TOL: f64 = 1e-3;
+/// fill-in low. Complex factorizations compare squared magnitudes
+/// against its square ([`Field::pivot_tol`]).
+pub(crate) const PIVOT_TOL: f64 = 1e-3;
 
-/// A sparse real matrix in compressed-sparse-row form over a fixed
-/// pattern.
+/// A sparse matrix in compressed-sparse-row form over a fixed pattern.
 ///
 /// The pattern (row pointers + column indices) is built once from the
 /// set of structurally-possible entries; values are then restamped in
@@ -75,38 +72,14 @@ const PIVOT_TOL: f64 = 1e-3;
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct SparseMatrix {
+pub struct SparseMatrix<T = f64> {
     n: usize,
     row_ptr: Vec<usize>,
     cols: Vec<u32>,
-    vals: Vec<f64>,
+    vals: Vec<T>,
 }
 
-/// Sorts and deduplicates raw `(row, col)` coordinates into CSR index
-/// arrays. Shared by the real and complex constructors.
-fn build_pattern(n: usize, entries: &[(u32, u32)]) -> (Vec<usize>, Vec<u32>) {
-    let mut coords: Vec<(u32, u32)> = entries.to_vec();
-    for &(r, c) in &coords {
-        assert!(
-            (r as usize) < n && (c as usize) < n,
-            "pattern entry ({r}, {c}) outside {n}x{n}"
-        );
-    }
-    coords.sort_unstable();
-    coords.dedup();
-    let mut row_ptr = vec![0usize; n + 1];
-    let mut cols = Vec::with_capacity(coords.len());
-    for &(r, c) in &coords {
-        row_ptr[r as usize + 1] += 1;
-        cols.push(c);
-    }
-    for i in 0..n {
-        row_ptr[i + 1] += row_ptr[i];
-    }
-    (row_ptr, cols)
-}
-
-impl SparseMatrix {
+impl<T: Scalar> SparseMatrix<T> {
     /// Builds an `n × n` matrix of zeros over the pattern given as
     /// `(row, col)` coordinates (duplicates allowed, any order).
     ///
@@ -114,8 +87,25 @@ impl SparseMatrix {
     ///
     /// Panics if any coordinate is outside the matrix.
     pub fn from_pattern(n: usize, entries: &[(u32, u32)]) -> Self {
-        let (row_ptr, cols) = build_pattern(n, entries);
-        let vals = vec![0.0; cols.len()];
+        let mut coords: Vec<(u32, u32)> = entries.to_vec();
+        for &(r, c) in &coords {
+            assert!(
+                (r as usize) < n && (c as usize) < n,
+                "pattern entry ({r}, {c}) outside {n}x{n}"
+            );
+        }
+        coords.sort_unstable();
+        coords.dedup();
+        let mut row_ptr = vec![0usize; n + 1];
+        let mut cols = Vec::with_capacity(coords.len());
+        for &(r, c) in &coords {
+            row_ptr[r as usize + 1] += 1;
+            cols.push(c);
+        }
+        for i in 0..n {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let vals = vec![T::ZERO; cols.len()];
         SparseMatrix { n, row_ptr, cols, vals }
     }
 
@@ -125,13 +115,13 @@ impl SparseMatrix {
     /// # Panics
     ///
     /// Panics if `a` is not square.
-    pub fn from_dense(a: &Matrix) -> Self {
+    pub fn from_dense(a: &Matrix<T>) -> Self {
         assert!(a.is_square(), "from_dense needs a square matrix");
         let n = a.rows();
         let mut entries = Vec::new();
         for i in 0..n {
             for (j, &v) in a.row(i).iter().enumerate() {
-                if v != 0.0 {
+                if v != T::ZERO {
                     entries.push((i as u32, j as u32));
                 }
             }
@@ -139,7 +129,7 @@ impl SparseMatrix {
         let mut m = SparseMatrix::from_pattern(n, &entries);
         for i in 0..n {
             for (j, &v) in a.row(i).iter().enumerate() {
-                if v != 0.0 {
+                if v != T::ZERO {
                     m.add_at(i, j, v);
                 }
             }
@@ -159,7 +149,7 @@ impl SparseMatrix {
 
     /// Resets every stored value to zero; the pattern is untouched.
     pub fn zero_values(&mut self) {
-        self.vals.fill(0.0);
+        self.vals.fill(T::ZERO);
     }
 
     /// The storage index of entry `(row, col)`, if it is in the pattern.
@@ -178,39 +168,39 @@ impl SparseMatrix {
     ///
     /// Panics if `(row, col)` is not in the pattern — restamping must
     /// never discover entries the pattern pass missed.
-    pub fn add_at(&mut self, row: usize, col: usize, v: f64) {
+    pub fn add_at(&mut self, row: usize, col: usize, v: T) {
         let k = self
             .slot(row, col)
             .unwrap_or_else(|| panic!("entry ({row}, {col}) not in sparse pattern"));
-        self.vals[k] += v;
+        self.vals[k] = self.vals[k] + v;
     }
 
     /// The stored values, pattern order.
-    pub fn values(&self) -> &[f64] {
+    pub fn values(&self) -> &[T] {
         &self.vals
     }
 
     /// Mutable access to the stored values (for slot-direct restamping).
-    pub fn values_mut(&mut self) -> &mut [f64] {
+    pub fn values_mut(&mut self) -> &mut [T] {
         &mut self.vals
     }
 
     /// Column indices and values of one row.
-    pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
+    pub fn row(&self, i: usize) -> (&[u32], &[T]) {
         let lo = self.row_ptr[i];
         let hi = self.row_ptr[i + 1];
         (&self.cols[lo..hi], &self.vals[lo..hi])
     }
 
     /// `y = A·x` into a caller-owned buffer (resized to fit).
-    pub fn mul_vec_into(&self, x: &[f64], y: &mut Vec<f64>) {
+    pub fn mul_vec_into(&self, x: &[T], y: &mut Vec<T>) {
         assert_eq!(x.len(), self.n, "mul_vec dimension mismatch");
         y.clear();
         for i in 0..self.n {
             let (cols, vals) = self.row(i);
-            let mut s = 0.0;
+            let mut s = T::ZERO;
             for (&c, &v) in cols.iter().zip(vals) {
-                s += v * x[c as usize];
+                s = s + v * x[c as usize];
             }
             y.push(s);
         }
@@ -221,7 +211,7 @@ impl SparseMatrix {
     /// # Panics
     ///
     /// Panics for an empty (0-dimensional) matrix.
-    pub fn to_dense(&self) -> Matrix {
+    pub fn to_dense(&self) -> Matrix<T> {
         let mut m = Matrix::zeros(self.n, self.n);
         for i in 0..self.n {
             let (cols, vals) = self.row(i);
@@ -231,43 +221,6 @@ impl SparseMatrix {
         }
         m
     }
-}
-
-/// One row of the elimination workspace used by the full factorization:
-/// sorted `(col, value)` pairs, merged in place as fill arrives.
-type WorkRow = Vec<(u32, f64)>;
-
-/// Subtracts `f ×` the trailing (col > `k`) part of `pivot` from `row`,
-/// inserting fill-in entries to keep `row` sorted.
-fn eliminate_into(row: &mut WorkRow, pivot: &WorkRow, k: u32, f: f64) {
-    for &(c, uv) in pivot.iter().filter(|&&(c, _)| c > k) {
-        match row.binary_search_by_key(&c, |e| e.0) {
-            Ok(p) => row[p].1 -= f * uv,
-            Err(p) => row.insert(p, (c, -f * uv)),
-        }
-    }
-}
-
-/// Permutation parity: `+1.0` for an even permutation, `-1.0` for odd.
-fn parity(perm: &[usize]) -> f64 {
-    let mut seen = vec![false; perm.len()];
-    let mut sign = 1.0;
-    for start in 0..perm.len() {
-        if seen[start] {
-            continue;
-        }
-        let mut len = 0usize;
-        let mut i = start;
-        while !seen[i] {
-            seen[i] = true;
-            i = perm[i];
-            len += 1;
-        }
-        if len.is_multiple_of(2) {
-            sign = -sign;
-        }
-    }
-    sign
 }
 
 /// LU factorization of a [`SparseMatrix`] with a reusable pivot order
@@ -280,37 +233,39 @@ fn parity(perm: &[usize]) -> f64 {
 /// `permutation`/`det`/`pivot_ratio` accessors mirror
 /// [`crate::lu::LuFactor`].
 #[derive(Debug, Clone)]
-pub struct SparseLu {
+pub struct SparseLu<T = f64> {
     n: usize,
     /// `perm[s]` = original row of `A` that became row `s` of `P·A = L·U`.
     perm: Vec<usize>,
-    sign: f64,
     /// Strictly-lower factor rows (columns ascending), permuted order.
     l_ptr: Vec<usize>,
     l_cols: Vec<u32>,
-    l_vals: Vec<f64>,
+    l_vals: Vec<T>,
     /// Upper factor rows including the diagonal (diagonal first).
     u_ptr: Vec<usize>,
     u_cols: Vec<u32>,
-    u_vals: Vec<f64>,
+    u_vals: Vec<T>,
     /// Dense scatter workspace for [`SparseLu::refactor`].
-    scratch: Vec<f64>,
+    scratch: Vec<T>,
 }
 
-impl SparseLu {
+impl<T: Field> SparseLu<T> {
     /// Full factorization of `a` as `P·A = L·U`: elimination in natural
-    /// column order with threshold partial pivoting (see [`PIVOT_TOL`])
-    /// and a minimum-row-count tie-break, recording pivot order and
-    /// fill-in for later [`SparseLu::refactor`] calls.
+    /// column order with threshold partial pivoting (a candidate must
+    /// reach `1e-3` of the column maximum) and a minimum-row-count
+    /// tie-break, recording pivot order and fill-in for later
+    /// [`SparseLu::refactor`] calls.
     ///
     /// # Errors
     ///
     /// [`SolveError::Singular`] when a column has no admissible pivot;
     /// `step` is the column — i.e. variable — index, exactly as for the
     /// dense solver.
-    pub fn factor(a: &SparseMatrix) -> Result<Self, SolveError> {
+    pub fn factor(a: &SparseMatrix<T>) -> Result<Self, SolveError> {
         let n = a.dim();
-        let mut rows: Vec<WorkRow> = (0..n)
+        // One elimination row per matrix row: sorted `(col, value)`
+        // pairs, merged in place as fill arrives.
+        let mut rows: Vec<Vec<(u32, T)>> = (0..n)
             .map(|i| {
                 let (cols, vals) = a.row(i);
                 cols.iter().copied().zip(vals.iter().copied()).collect()
@@ -328,7 +283,7 @@ impl SparseLu {
             let mut col_max = 0.0f64;
             for i in (0..n).filter(|&i| !assigned[i]) {
                 if let Ok(p) = rows[i].binary_search_by_key(&kk, |e| e.0) {
-                    col_max = col_max.max(rows[i][p].1.abs());
+                    col_max = col_max.max(rows[i][p].1.pivot_size());
                 }
             }
             if col_max < PIVOT_EPS || !col_max.is_finite() {
@@ -340,7 +295,8 @@ impl SparseLu {
             for i in (0..n).filter(|&i| !assigned[i]) {
                 if let Ok(p) = rows[i].binary_search_by_key(&kk, |e| e.0) {
                     let active = rows[i].len() - lower[i];
-                    if rows[i][p].1.abs() >= PIVOT_TOL * col_max && active < best_active {
+                    let admissible = rows[i][p].1.pivot_size() >= T::pivot_tol() * col_max;
+                    if admissible && active < best_active {
                         best_active = active;
                         pivot_row = Some(i);
                     }
@@ -372,7 +328,14 @@ impl SparseLu {
                     let f = row[q].1 / pivot_val;
                     row[q].1 = f; // becomes the L factor for column k
                     lower[off] += 1;
-                    eliminate_into(row, pivot_slice, kk, f);
+                    // Subtract f × the pivot row's trailing part,
+                    // inserting fill-in to keep the row sorted.
+                    for &(c, uv) in pivot_slice.iter().filter(|&&(c, _)| c > kk) {
+                        match row.binary_search_by_key(&c, |e| e.0) {
+                            Ok(pos) => row[pos].1 -= f * uv,
+                            Err(pos) => row.insert(pos, (c, -(f * uv))),
+                        }
+                    }
                 }
             }
         }
@@ -382,7 +345,6 @@ impl SparseLu {
         // the U row (diagonal first by construction).
         let mut lu = SparseLu {
             n,
-            sign: parity(&perm),
             perm,
             l_ptr: Vec::with_capacity(n + 1),
             l_cols: Vec::new(),
@@ -390,7 +352,7 @@ impl SparseLu {
             u_ptr: Vec::with_capacity(n + 1),
             u_cols: Vec::new(),
             u_vals: Vec::new(),
-            scratch: vec![0.0; n],
+            scratch: vec![T::ZERO; n],
         };
         lu.l_ptr.push(0);
         lu.u_ptr.push(0);
@@ -422,7 +384,7 @@ impl SparseLu {
     /// dimension; [`SolveError::Singular`] when a reused pivot has
     /// collapsed — the caller should then re-run [`SparseLu::factor`]
     /// to choose fresh pivots (or report the system genuinely singular).
-    pub fn refactor(&mut self, a: &SparseMatrix) -> Result<(), SolveError> {
+    pub fn refactor(&mut self, a: &SparseMatrix<T>) -> Result<(), SolveError> {
         if a.dim() != self.n {
             return Err(SolveError::DimensionMismatch {
                 expected: self.n,
@@ -433,10 +395,10 @@ impl SparseLu {
             let r = self.perm[s];
             // Scatter: clear the union pattern of this row, load A's row.
             for &c in &self.l_cols[self.l_ptr[s]..self.l_ptr[s + 1]] {
-                self.scratch[c as usize] = 0.0;
+                self.scratch[c as usize] = T::ZERO;
             }
             for &c in &self.u_cols[self.u_ptr[s]..self.u_ptr[s + 1]] {
-                self.scratch[c as usize] = 0.0;
+                self.scratch[c as usize] = T::ZERO;
             }
             let (cols, vals) = a.row(r);
             for (&c, &v) in cols.iter().zip(vals) {
@@ -455,7 +417,7 @@ impl SparseLu {
                 self.u_vals[ui] = self.scratch[self.u_cols[ui] as usize];
             }
             let d = self.u_vals[self.u_ptr[s]];
-            if d.abs() < PIVOT_EPS || !d.is_finite() {
+            if d.pivot_size() < PIVOT_EPS || !d.is_finite() {
                 return Err(SolveError::Singular { step: s });
             }
         }
@@ -474,36 +436,13 @@ impl SparseLu {
         &self.perm
     }
 
-    /// Determinant of the original matrix (product of pivots × the
-    /// permutation sign).
-    pub fn det(&self) -> f64 {
-        (0..self.n).fold(self.sign, |acc, s| acc * self.u_vals[self.u_ptr[s]])
-    }
-
-    /// Ratio of the largest to the smallest pivot magnitude — the same
-    /// cheap near-singularity measure as
-    /// [`crate::lu::LuFactor::pivot_ratio`]. Returns 1.0 when empty.
-    pub fn pivot_ratio(&self) -> f64 {
-        if self.n == 0 {
-            return 1.0;
-        }
-        let mut max = 0.0f64;
-        let mut min = f64::INFINITY;
-        for s in 0..self.n {
-            let p = self.u_vals[self.u_ptr[s]].abs();
-            max = max.max(p);
-            min = min.min(p);
-        }
-        max / min
-    }
-
     /// Solves `A·x = b` into a caller-owned buffer (allocation-free once
     /// the buffer has capacity).
     ///
     /// # Errors
     ///
     /// [`SolveError::DimensionMismatch`] if `b` has the wrong length.
-    pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<(), SolveError> {
+    pub fn solve_into(&self, b: &[T], x: &mut Vec<T>) -> Result<(), SolveError> {
         if b.len() != self.n {
             return Err(SolveError::DimensionMismatch {
                 expected: self.n,
@@ -534,308 +473,42 @@ impl SparseLu {
     /// # Errors
     ///
     /// As for [`SparseLu::solve_into`].
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SolveError> {
+    pub fn solve(&self, b: &[T]) -> Result<Vec<T>, SolveError> {
         let mut x = Vec::with_capacity(self.n);
         self.solve_into(b, &mut x)?;
         Ok(x)
     }
 }
 
-/// A sparse complex matrix over a fixed pattern (the AC small-signal
-/// twin of [`SparseMatrix`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComplexSparseMatrix {
-    n: usize,
-    row_ptr: Vec<usize>,
-    cols: Vec<u32>,
-    vals: Vec<Complex>,
-}
-
-impl ComplexSparseMatrix {
-    /// Builds an `n × n` matrix of zeros over the given coordinate
-    /// pattern (duplicates allowed, any order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any coordinate is outside the matrix.
-    pub fn from_pattern(n: usize, entries: &[(u32, u32)]) -> Self {
-        let (row_ptr, cols) = build_pattern(n, entries);
-        let vals = vec![Complex::ZERO; cols.len()];
-        ComplexSparseMatrix { n, row_ptr, cols, vals }
+impl SparseLu {
+    /// Determinant of the original matrix (product of pivots × the
+    /// permutation sign).
+    pub fn det(&self) -> f64 {
+        (0..self.n).fold(parity(&self.perm), |acc, s| acc * self.u_vals[self.u_ptr[s]])
     }
 
-    /// Builds a sparse copy of a dense complex square matrix from its
-    /// nonzero entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not square.
-    pub fn from_dense(a: &ComplexMatrix) -> Self {
-        assert_eq!(a.rows(), a.cols(), "from_dense needs a square matrix");
-        let n = a.rows();
-        let mut entries = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                if a[(i, j)] != Complex::ZERO {
-                    entries.push((i as u32, j as u32));
-                }
-            }
+    /// Ratio of the largest to the smallest pivot magnitude — the same
+    /// cheap near-singularity measure as
+    /// [`crate::lu::LuFactor::pivot_ratio`]. Returns 1.0 when empty.
+    pub fn pivot_ratio(&self) -> f64 {
+        if self.n == 0 {
+            return 1.0;
         }
-        let mut m = ComplexSparseMatrix::from_pattern(n, &entries);
-        for i in 0..n {
-            for j in 0..n {
-                if a[(i, j)] != Complex::ZERO {
-                    m.add_at(i, j, a[(i, j)]);
-                }
-            }
-        }
-        m
-    }
-
-    /// Dimension of the (square) matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Number of stored (structural) entries.
-    pub fn nnz(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Resets every stored value to zero; the pattern is untouched.
-    pub fn zero_values(&mut self) {
-        self.vals.fill(Complex::ZERO);
-    }
-
-    /// Adds `v` to entry `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `(row, col)` is not in the pattern.
-    pub fn add_at(&mut self, row: usize, col: usize, v: Complex) {
-        let lo = self.row_ptr[row];
-        let hi = self.row_ptr[row + 1];
-        let k = self.cols[lo..hi]
-            .binary_search(&(col as u32))
-            .unwrap_or_else(|_| panic!("entry ({row}, {col}) not in sparse pattern"));
-        self.vals[lo + k] += v;
-    }
-
-    /// Column indices and values of one row.
-    pub fn row(&self, i: usize) -> (&[u32], &[Complex]) {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        (&self.cols[lo..hi], &self.vals[lo..hi])
-    }
-}
-
-/// LU factorization of a [`ComplexSparseMatrix`] with a reusable pivot
-/// order — the AC twin of [`SparseLu`], used to factor the small-signal
-/// system once per sweep and refactor per frequency.
-#[derive(Debug, Clone)]
-pub struct ComplexSparseLu {
-    n: usize,
-    perm: Vec<usize>,
-    l_ptr: Vec<usize>,
-    l_cols: Vec<u32>,
-    l_vals: Vec<Complex>,
-    u_ptr: Vec<usize>,
-    u_cols: Vec<u32>,
-    u_vals: Vec<Complex>,
-    scratch: Vec<Complex>,
-}
-
-impl ComplexSparseLu {
-    /// Full factorization with threshold partial pivoting (magnitudes
-    /// compared via `norm_sqr`, like the dense complex solver).
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::Singular`] when a column has no admissible pivot.
-    pub fn factor(a: &ComplexSparseMatrix) -> Result<Self, SolveError> {
-        let n = a.dim();
-        let mut rows: Vec<Vec<(u32, Complex)>> = (0..n)
-            .map(|i| {
-                let (cols, vals) = a.row(i);
-                cols.iter().copied().zip(vals.iter().copied()).collect()
-            })
-            .collect();
-        let mut lower = vec![0usize; n];
-        let mut assigned = vec![false; n];
-        let mut perm = Vec::with_capacity(n);
-        let tol_sqr = PIVOT_TOL * PIVOT_TOL;
-
-        for k in 0..n {
-            let kk = k as u32;
-            let mut col_max = 0.0f64;
-            for i in (0..n).filter(|&i| !assigned[i]) {
-                if let Ok(p) = rows[i].binary_search_by_key(&kk, |e| e.0) {
-                    col_max = col_max.max(rows[i][p].1.norm_sqr());
-                }
-            }
-            if col_max < PIVOT_EPS || !col_max.is_finite() {
-                return Err(SolveError::Singular { step: k });
-            }
-            let mut pivot_row = None;
-            let mut best_active = usize::MAX;
-            for i in (0..n).filter(|&i| !assigned[i]) {
-                if let Ok(p) = rows[i].binary_search_by_key(&kk, |e| e.0) {
-                    let active = rows[i].len() - lower[i];
-                    if rows[i][p].1.norm_sqr() >= tol_sqr * col_max && active < best_active {
-                        best_active = active;
-                        pivot_row = Some(i);
-                    }
-                }
-            }
-            let p = pivot_row.expect("col_max admits at least one candidate");
-            assigned[p] = true;
-            perm.push(p);
-            let pivot_val = rows[p]
-                .binary_search_by_key(&kk, |e| e.0)
-                .map(|q| rows[p][q].1)
-                .expect("pivot entry present");
-            let (pivot_slice, others_lo, others_hi) = {
-                let (lo, rest) = rows.split_at_mut(p);
-                let (piv, hi) = rest.split_first_mut().expect("pivot row exists");
-                (piv, lo, hi)
-            };
-            for (off, row) in others_lo
-                .iter_mut()
-                .enumerate()
-                .chain(others_hi.iter_mut().enumerate().map(|(i, r)| (p + 1 + i, r)))
-            {
-                if assigned[off] {
-                    continue;
-                }
-                if let Ok(q) = row.binary_search_by_key(&kk, |e| e.0) {
-                    let f = row[q].1 / pivot_val;
-                    row[q].1 = f;
-                    lower[off] += 1;
-                    for &(c, uv) in pivot_slice.iter().filter(|&&(c, _)| c > kk) {
-                        match row.binary_search_by_key(&c, |e| e.0) {
-                            Ok(pos) => row[pos].1 -= f * uv,
-                            Err(pos) => row.insert(pos, (c, -(f * uv))),
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut lu = ComplexSparseLu {
-            n,
-            perm,
-            l_ptr: Vec::with_capacity(n + 1),
-            l_cols: Vec::new(),
-            l_vals: Vec::new(),
-            u_ptr: Vec::with_capacity(n + 1),
-            u_cols: Vec::new(),
-            u_vals: Vec::new(),
-            scratch: vec![Complex::ZERO; n],
-        };
-        lu.l_ptr.push(0);
-        lu.u_ptr.push(0);
-        for s in 0..n {
-            let r = lu.perm[s];
-            for &(c, v) in &rows[r] {
-                if (c as usize) < s {
-                    lu.l_cols.push(c);
-                    lu.l_vals.push(v);
-                } else {
-                    lu.u_cols.push(c);
-                    lu.u_vals.push(v);
-                }
-            }
-            lu.l_ptr.push(lu.l_cols.len());
-            lu.u_ptr.push(lu.u_cols.len());
-            debug_assert_eq!(lu.u_cols[lu.u_ptr[s]] as usize, s, "U diagonal first");
-        }
-        Ok(lu)
-    }
-
-    /// Numeric-only refactorization on the recorded pivot order and fill
-    /// pattern; allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SparseLu::refactor`].
-    pub fn refactor(&mut self, a: &ComplexSparseMatrix) -> Result<(), SolveError> {
-        if a.dim() != self.n {
-            return Err(SolveError::DimensionMismatch {
-                expected: self.n,
-                actual: a.dim(),
-            });
-        }
+        let mut max = 0.0f64;
+        let mut min = f64::INFINITY;
         for s in 0..self.n {
-            let r = self.perm[s];
-            for &c in &self.l_cols[self.l_ptr[s]..self.l_ptr[s + 1]] {
-                self.scratch[c as usize] = Complex::ZERO;
-            }
-            for &c in &self.u_cols[self.u_ptr[s]..self.u_ptr[s + 1]] {
-                self.scratch[c as usize] = Complex::ZERO;
-            }
-            let (cols, vals) = a.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                self.scratch[c as usize] += v;
-            }
-            for li in self.l_ptr[s]..self.l_ptr[s + 1] {
-                let j = self.l_cols[li] as usize;
-                let f = self.scratch[j] / self.u_vals[self.u_ptr[j]];
-                self.l_vals[li] = f;
-                for ui in self.u_ptr[j] + 1..self.u_ptr[j + 1] {
-                    self.scratch[self.u_cols[ui] as usize] -= f * self.u_vals[ui];
-                }
-            }
-            for ui in self.u_ptr[s]..self.u_ptr[s + 1] {
-                self.u_vals[ui] = self.scratch[self.u_cols[ui] as usize];
-            }
-            let d = self.u_vals[self.u_ptr[s]];
-            if d.norm_sqr() < PIVOT_EPS || !d.is_finite() {
-                return Err(SolveError::Singular { step: s });
-            }
+            let p = self.u_vals[self.u_ptr[s]].abs();
+            max = max.max(p);
+            min = min.min(p);
         }
-        Ok(())
-    }
-
-    /// Dimension of the factored system.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Solves `A·x = b` into a caller-owned buffer.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::DimensionMismatch`] if `b` has the wrong length.
-    pub fn solve_into(&self, b: &[Complex], x: &mut Vec<Complex>) -> Result<(), SolveError> {
-        if b.len() != self.n {
-            return Err(SolveError::DimensionMismatch {
-                expected: self.n,
-                actual: b.len(),
-            });
-        }
-        x.clear();
-        x.extend(self.perm.iter().map(|&p| b[p]));
-        for s in 0..self.n {
-            let mut acc = x[s];
-            for li in self.l_ptr[s]..self.l_ptr[s + 1] {
-                acc -= self.l_vals[li] * x[self.l_cols[li] as usize];
-            }
-            x[s] = acc;
-        }
-        for s in (0..self.n).rev() {
-            let mut acc = x[s];
-            for ui in self.u_ptr[s] + 1..self.u_ptr[s + 1] {
-                acc -= self.u_vals[ui] * x[self.u_cols[ui] as usize];
-            }
-            x[s] = acc / self.u_vals[self.u_ptr[s]];
-        }
-        Ok(())
+        max / min
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complex::Complex;
     use crate::lu::LuFactor;
 
     fn dense_3x3() -> Matrix {
@@ -1061,15 +734,15 @@ mod tests {
 
     #[test]
     fn complex_matches_dense_complex() {
-        let mut d = ComplexMatrix::zeros(2, 2);
+        let mut d = Matrix::<Complex>::zeros(2, 2);
         d[(0, 0)] = Complex::new(1.0, 1.0);
         d[(0, 1)] = Complex::new(0.0, -2.0);
         d[(1, 0)] = Complex::new(3.0, 0.0);
         d[(1, 1)] = Complex::new(-1.0, 0.5);
-        let s = ComplexSparseMatrix::from_dense(&d);
+        let s = SparseMatrix::from_dense(&d);
         let b = [Complex::ONE, Complex::new(0.0, 1.0)];
-        let xd = crate::lu::ComplexLuFactor::new(&d).unwrap().solve(&b).unwrap();
-        let lu = ComplexSparseLu::factor(&s).unwrap();
+        let xd = LuFactor::new(&d).unwrap().solve(&b).unwrap();
+        let lu = SparseLu::factor(&s).unwrap();
         let mut xs = Vec::new();
         lu.solve_into(&b, &mut xs).unwrap();
         for (a, b) in xd.iter().zip(&xs) {
@@ -1081,8 +754,8 @@ mod tests {
     fn complex_refactor_tracks_new_values() {
         // An RC admittance pattern swept over frequency: refactor per
         // frequency must match a fresh factorization.
-        let mut m = ComplexSparseMatrix::from_pattern(2, &[(0, 0), (0, 1), (1, 0), (1, 1)]);
-        let stamp = |m: &mut ComplexSparseMatrix, w: f64| {
+        let mut m = SparseMatrix::<Complex>::from_pattern(2, &[(0, 0), (0, 1), (1, 0), (1, 1)]);
+        let stamp = |m: &mut SparseMatrix<Complex>, w: f64| {
             m.zero_values();
             let g = Complex::from_re(1e-3);
             let jwc = Complex::new(0.0, w * 1e-9);
@@ -1092,14 +765,14 @@ mod tests {
             m.add_at(1, 1, g + jwc);
         };
         stamp(&mut m, 1e3);
-        let mut lu = ComplexSparseLu::factor(&m).unwrap();
+        let mut lu = SparseLu::factor(&m).unwrap();
         let b = [Complex::ONE, Complex::ZERO];
         for w in [1e4, 1e6, 1e9] {
             stamp(&mut m, w);
             lu.refactor(&m).unwrap();
             let mut x = Vec::new();
             lu.solve_into(&b, &mut x).unwrap();
-            let fresh = ComplexSparseLu::factor(&m).unwrap();
+            let fresh = SparseLu::factor(&m).unwrap();
             let mut y = Vec::new();
             fresh.solve_into(&b, &mut y).unwrap();
             for (a, b) in x.iter().zip(&y) {
@@ -1110,9 +783,9 @@ mod tests {
 
     #[test]
     fn complex_singular_rejected() {
-        let m = ComplexSparseMatrix::from_pattern(2, &[(0, 0), (1, 1)]);
+        let m = SparseMatrix::<Complex>::from_pattern(2, &[(0, 0), (1, 1)]);
         assert!(matches!(
-            ComplexSparseLu::factor(&m),
+            SparseLu::factor(&m),
             Err(SolveError::Singular { step: 0 })
         ));
     }

@@ -9,6 +9,37 @@ use ulp_num::stats::{max_abs, mean, median, min_max, quantile, std_dev};
 use ulp_num::sparse::{SparseLu, SparseMatrix};
 use ulp_num::{Complex, Matrix};
 
+/// A diagonally dominant complex matrix: real parts from `seed` as in
+/// [`diag_dominant`], imaginary parts from the same seed vector one
+/// draw later.
+fn diag_dominant_complex(n: usize, seed: &[f64]) -> Matrix<Complex> {
+    let mut m = Matrix::zeros(n, n);
+    let mut k = 0;
+    for i in 0..n {
+        let mut row_sum = 0.0;
+        for j in 0..n {
+            if i != j {
+                let v = Complex::new(seed[k % seed.len()] % 1.0, seed[(k + 1) % seed.len()] % 1.0);
+                m[(i, j)] = v;
+                row_sum += v.abs();
+                k += 1;
+            }
+        }
+        let d = row_sum + 1.0 + seed[k % seed.len()].abs() % 1.0;
+        m[(i, i)] = Complex::new(d, seed[(k + 1) % seed.len()] % 1.0);
+        k += 1;
+    }
+    m
+}
+
+/// A complex right-hand side: real parts from `b`, imaginary parts from
+/// `b` rotated by one.
+fn complex_rhs(b: &[f64]) -> Vec<Complex> {
+    (0..b.len())
+        .map(|i| Complex::new(b[i], b[(i + 1) % b.len()]))
+        .collect()
+}
+
 fn diag_dominant(n: usize, seed: &[f64]) -> Matrix {
     let mut m = Matrix::zeros(n, n);
     let mut k = 0;
@@ -104,6 +135,53 @@ proptest! {
         fresh.solve_into(&b, &mut x_fresh).expect("solve");
         for (r, f) in x_re.iter().zip(&x_fresh) {
             prop_assert!((r - f).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn complex_sparse_lu_matches_dense_lu(
+        seed in prop::collection::vec(-1.0f64..1.0, 40),
+        b in prop::collection::vec(-10.0f64..10.0, 5)
+    ) {
+        let a = diag_dominant_complex(5, &seed);
+        let b = complex_rhs(&b);
+        let sa = SparseMatrix::from_dense(&a);
+        let dense_lu = LuFactor::new(&a).expect("diag-dominant is nonsingular");
+        let dense_x = dense_lu.solve(&b).expect("solve");
+        let slu = SparseLu::factor(&sa).expect("diag-dominant is nonsingular");
+        let mut sparse_x = Vec::new();
+        slu.solve_into(&b, &mut sparse_x).expect("solve");
+        for (d, s) in dense_x.iter().zip(&sparse_x) {
+            prop_assert!((*d - *s).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn complex_sparse_refactor_reproduces_fresh_factorization(
+        seed in prop::collection::vec(-1.0f64..1.0, 40),
+        scale in 0.5f64..2.0,
+        b in prop::collection::vec(-10.0f64..10.0, 5)
+    ) {
+        // As the real property, on the complex instantiation that AC
+        // analysis refactors across frequencies.
+        let a0 = diag_dominant_complex(5, &seed);
+        let b = complex_rhs(&b);
+        let sa = SparseMatrix::from_dense(&a0);
+        let mut lu = SparseLu::factor(&sa).expect("nonsingular");
+
+        let mut a1 = SparseMatrix::from_dense(&a0);
+        for v in a1.values_mut() {
+            *v = *v * scale;
+        }
+        lu.refactor(&a1).expect("same pattern, still dominant");
+        let mut x_re = Vec::new();
+        lu.solve_into(&b, &mut x_re).expect("solve");
+
+        let fresh = SparseLu::factor(&a1).expect("nonsingular");
+        let mut x_fresh = Vec::new();
+        fresh.solve_into(&b, &mut x_fresh).expect("solve");
+        for (r, f) in x_re.iter().zip(&x_fresh) {
+            prop_assert!((*r - *f).abs() < 1e-9);
         }
     }
 

@@ -107,7 +107,7 @@ use ulp_device::mismatch::MismatchRng;
 use ulp_device::pvt::Corner;
 use ulp_device::{Polarity, Technology};
 use ulp_num::interval::{gershgorin_nonsingular, prove_regular};
-use ulp_num::{Interval, IntervalLu, IntervalMatrix};
+use ulp_num::{Interval, IntervalLu, Matrix};
 
 /// Fallback half-width for unknowns nothing constrains (a numeric
 /// stand-in for "unbounded" that keeps interval arithmetic finite).
@@ -259,13 +259,16 @@ impl Certified {
 /// the feasibility and box-variant checks.
 ///
 /// Structurally broken netlists cannot be meaningfully certified, so
-/// this gates on [`crate::erc::gate`] first (`Err(SimError::Erc)`).
+/// this gates on [`crate::erc::gate`] first (`Err(SimError::Erc)`), and
+/// a netlist with no unknowns has no system to certify
+/// (`Err(SimError::EmptyNetlist)`).
 pub fn certify(
     nl: &Netlist,
     tech: &Technology,
     opts: &CertifyOptions,
 ) -> Result<Certified, SimError> {
     crate::erc::gate(nl)?;
+    crate::mna::require_unknowns(nl)?;
     let nn = nl.node_count() - 1;
     let dim = nl.unknown_count();
 
@@ -1020,7 +1023,7 @@ fn enclosure_fixpoint(nl: &Netlist, tech: &Technology, opts: &CertifyOptions) ->
 // ---------------------------------------------------------------------
 
 struct IvStamper<'m> {
-    a: &'m mut IntervalMatrix,
+    a: &'m mut Matrix<Interval>,
 }
 
 impl IvStamper<'_> {
@@ -1186,10 +1189,10 @@ fn interval_jacobian(
     tech: &Technology,
     opts: &CertifyOptions,
     boxes: &[Interval],
-) -> IntervalMatrix {
+) -> Matrix<Interval> {
     let nn = nl.node_count() - 1;
     let dim = nl.unknown_count();
-    let mut a = IntervalMatrix::zeros(dim, dim);
+    let mut a = Matrix::zeros(dim, dim);
     let bx = |node: Node| {
         if node.is_ground() {
             Interval::ZERO

@@ -11,13 +11,12 @@
 
 use crate::dcop::DcOperatingPoint;
 use crate::error::SimError;
-use crate::mna::{matrix_coords, require_unknowns, voltage_of, SolverKind};
+use crate::mna::{matrix_coords, require_unknowns, voltage_of, Backend, SolverKind};
 use crate::netlist::{Element, Netlist, Node};
 use crate::telemetry::{self, Event, Tracer};
 use std::time::Instant;
 use ulp_device::Technology;
-use ulp_num::lu::{ComplexLuFactor, SolveError};
-use ulp_num::{Complex, ComplexMatrix, ComplexSparseLu, ComplexSparseMatrix};
+use ulp_num::{Complex, SparseMatrix};
 
 /// Result of an AC sweep: one complex solution vector per frequency.
 #[derive(Debug, Clone)]
@@ -63,11 +62,39 @@ impl AcResult {
         crate::erc::gate(nl)?;
         require_unknowns(nl)?;
         let dim = nl.unknown_count();
-        let solutions = if SolverKind::Auto.resolve(dim) == SolverKind::Sparse {
-            run_sparse(nl, tech, op, freqs, tracer)?
-        } else {
-            run_dense(nl, tech, op, freqs, tracer)?
-        };
+        let x = op.solution();
+        let mut matrix = SparseMatrix::from_pattern(dim, &matrix_coords(nl));
+        let mut rhs = vec![Complex::ZERO; dim];
+        // Sparse from dimension 4 up: only the jωC entries move between
+        // frequencies at a fixed operating point, so the pivot order
+        // chosen at the first frequency is reused numerically for every
+        // later one, with a full re-pivot if a pivot collapses.
+        let mut backend = Backend::new(SolverKind::Auto, dim);
+        let mut solutions = Vec::with_capacity(freqs.len());
+        for (index, &freq) in freqs.iter().enumerate() {
+            let started = Instant::now();
+            let omega = 2.0 * std::f64::consts::PI * freq;
+            matrix.zero_values();
+            rhs.fill(Complex::ZERO);
+            stamp_ac(nl, tech, x, omega, &mut matrix, &mut rhs);
+            let full = backend
+                .factor(&matrix, false)
+                .map_err(|e| SimError::from_solve(nl, e))?;
+            let mut sol = Vec::with_capacity(dim);
+            backend
+                .solve_into(&rhs, &mut sol)
+                .map_err(|e| SimError::from_solve(nl, e))?;
+            solutions.push(sol);
+            if tracer.enabled() {
+                tracer.record(&Event::AcPoint {
+                    index,
+                    freq,
+                    lu_symbolic: usize::from(full),
+                    lu_refactor: usize::from(!full),
+                    seconds: started.elapsed().as_secs_f64(),
+                });
+            }
+        }
         Ok(AcResult {
             freqs: freqs.to_vec(),
             solutions,
@@ -126,106 +153,82 @@ fn cidx(node: Node) -> Option<usize> {
     }
 }
 
-/// Anything the AC stamper can write matrix entries into — the dense
-/// reference matrix or the pattern-reusing sparse one.
-pub(crate) trait CSink {
-    fn add(&mut self, r: usize, c: usize, v: Complex);
-}
-
-impl CSink for ComplexMatrix {
-    fn add(&mut self, r: usize, c: usize, v: Complex) {
-        self[(r, c)] += v;
-    }
-}
-
-impl CSink for ComplexSparseMatrix {
-    fn add(&mut self, r: usize, c: usize, v: Complex) {
-        self.add_at(r, c, v);
-    }
-}
-
-struct CStamper<'m, M: CSink> {
-    a: &'m mut M,
-    b: &'m mut [Complex],
-}
-
-impl<M: CSink> CStamper<'_, M> {
-    fn admittance(&mut self, p: Node, n: Node, y: Complex) {
-        if let Some(i) = cidx(p) {
-            self.a.add(i, i, y);
-            if let Some(j) = cidx(n) {
-                self.a.add(i, j, -y);
-            }
-        }
+/// Stamps admittance `y` between `p` and `n`.
+fn admittance(a: &mut SparseMatrix<Complex>, p: Node, n: Node, y: Complex) {
+    if let Some(i) = cidx(p) {
+        a.add_at(i, i, y);
         if let Some(j) = cidx(n) {
-            self.a.add(j, j, y);
-            if let Some(i) = cidx(p) {
-                self.a.add(j, i, -y);
-            }
+            a.add_at(i, j, -y);
         }
     }
+    if let Some(j) = cidx(n) {
+        a.add_at(j, j, y);
+        if let Some(i) = cidx(p) {
+            a.add_at(j, i, -y);
+        }
+    }
+}
 
-    fn transconductance(&mut self, p: Node, n: Node, cp: Node, cn: Node, gm: f64) {
-        for (out, sign) in [(p, 1.0), (n, -1.0)] {
-            if let Some(r) = cidx(out) {
-                if let Some(c) = cidx(cp) {
-                    self.a.add(r, c, Complex::from_re(sign * gm));
-                }
-                if let Some(c) = cidx(cn) {
-                    self.a.add(r, c, Complex::from_re(-sign * gm));
-                }
+/// Stamps a current `gm·(v(cp) − v(cn))` flowing from `p` to `n`.
+fn transconductance(a: &mut SparseMatrix<Complex>, p: Node, n: Node, cp: Node, cn: Node, gm: f64) {
+    for (out, sign) in [(p, 1.0), (n, -1.0)] {
+        if let Some(r) = cidx(out) {
+            if let Some(c) = cidx(cp) {
+                a.add_at(r, c, Complex::from_re(sign * gm));
+            }
+            if let Some(c) = cidx(cn) {
+                a.add_at(r, c, Complex::from_re(-sign * gm));
             }
         }
     }
 }
 
 /// Stamps the full small-signal system at `omega` about DC solution `x`
-/// into matrix `a` and source vector `b` — the one small-signal stamper,
-/// shared by the dense and sparse AC paths and by the noise analysis
-/// (which ignores `b`).
-pub(crate) fn stamp_ac<M: CSink>(
+/// into matrix `m` (over the [`matrix_coords`] pattern) and source
+/// vector `rhs` — the one small-signal stamper, shared by AC and noise
+/// analysis (which ignores `rhs`).
+pub(crate) fn stamp_ac(
     nl: &Netlist,
     tech: &Technology,
     x: &[f64],
     omega: f64,
-    a: &mut M,
-    b: &mut [Complex],
+    m: &mut SparseMatrix<Complex>,
+    rhs: &mut [Complex],
 ) {
-    let mut st = CStamper { a, b };
     let nn = nl.node_count() - 1;
     // Tiny conductance to ground keeps truly floating small-signal nodes
     // solvable.
     for i in 0..nn {
-        st.a.add(i, i, Complex::from_re(1e-15));
+        m.add_at(i, i, Complex::from_re(1e-15));
     }
     let mut branch = nn;
     for e in nl.elements() {
         match e {
             Element::Resistor { a, b, ohms, .. } => {
-                st.admittance(*a, *b, Complex::from_re(1.0 / ohms));
+                admittance(m, *a, *b, Complex::from_re(1.0 / ohms));
             }
             Element::Capacitor { a, b, farads, .. } => {
-                st.admittance(*a, *b, Complex::new(0.0, omega * farads));
+                admittance(m, *a, *b, Complex::new(0.0, omega * farads));
             }
             Element::Vsource { p, n, ac, .. } => {
                 let rb = branch;
                 branch += 1;
                 if let Some(i) = cidx(*p) {
-                    st.a.add(i, rb, Complex::ONE);
-                    st.a.add(rb, i, Complex::ONE);
+                    m.add_at(i, rb, Complex::ONE);
+                    m.add_at(rb, i, Complex::ONE);
                 }
                 if let Some(j) = cidx(*n) {
-                    st.a.add(j, rb, -Complex::ONE);
-                    st.a.add(rb, j, -Complex::ONE);
+                    m.add_at(j, rb, -Complex::ONE);
+                    m.add_at(rb, j, -Complex::ONE);
                 }
-                st.b[rb] = Complex::from_re(*ac);
+                rhs[rb] = Complex::from_re(*ac);
             }
             Element::Isource { p, n, ac, .. } => {
                 if let Some(r) = cidx(*p) {
-                    st.b[r] -= Complex::from_re(*ac);
+                    rhs[r] -= Complex::from_re(*ac);
                 }
                 if let Some(r) = cidx(*n) {
-                    st.b[r] += Complex::from_re(*ac);
+                    rhs[r] += Complex::from_re(*ac);
                 }
             }
             Element::Vcvs {
@@ -234,30 +237,30 @@ pub(crate) fn stamp_ac<M: CSink>(
                 let rb = branch;
                 branch += 1;
                 if let Some(i) = cidx(*p) {
-                    st.a.add(i, rb, Complex::ONE);
-                    st.a.add(rb, i, Complex::ONE);
+                    m.add_at(i, rb, Complex::ONE);
+                    m.add_at(rb, i, Complex::ONE);
                 }
                 if let Some(j) = cidx(*n) {
-                    st.a.add(j, rb, -Complex::ONE);
-                    st.a.add(rb, j, -Complex::ONE);
+                    m.add_at(j, rb, -Complex::ONE);
+                    m.add_at(rb, j, -Complex::ONE);
                 }
                 if let Some(c) = cidx(*cp) {
-                    st.a.add(rb, c, Complex::from_re(-*gain));
+                    m.add_at(rb, c, Complex::from_re(-*gain));
                 }
                 if let Some(c) = cidx(*cn) {
-                    st.a.add(rb, c, Complex::from_re(*gain));
+                    m.add_at(rb, c, Complex::from_re(*gain));
                 }
             }
             Element::Vccs {
                 p, n, cp, cn, gm, ..
-            } => st.transconductance(*p, *n, *cp, *cn, *gm),
+            } => transconductance(m, *p, *n, *cp, *cn, *gm),
             Element::Diode {
                 p, n, is_sat, n_id, ..
             } => {
                 let v = voltage_of(x, *p) - voltage_of(x, *n);
                 let vt = n_id * tech.thermal_voltage();
                 let g = is_sat / vt * (v / vt).min(40.0).exp();
-                st.admittance(*p, *n, Complex::from_re(g.max(1e-18)));
+                admittance(m, *p, *n, Complex::from_re(g.max(1e-18)));
             }
             Element::Mos { d, g, s, b, dev, .. } => {
                 let vb = voltage_of(x, *b);
@@ -265,115 +268,17 @@ pub(crate) fn stamp_ac<M: CSink>(
                 let vs = voltage_of(x, *s) - vb;
                 let vd = voltage_of(x, *d) - vb;
                 let mos_op = dev.operating_point(tech, vg, vs, vd);
-                st.transconductance(*d, *s, *g, *b, mos_op.gm);
-                st.transconductance(*d, *s, *s, *b, mos_op.gms);
-                st.transconductance(*d, *s, *d, *b, mos_op.gds);
+                transconductance(m, *d, *s, *g, *b, mos_op.gm);
+                transconductance(m, *d, *s, *s, *b, mos_op.gms);
+                transconductance(m, *d, *s, *d, *b, mos_op.gds);
             }
             Element::SclLoad { a, b, load, iss, .. } => {
                 let v = voltage_of(x, *a) - voltage_of(x, *b);
                 let g = load.conductance(v, *iss).max(1e-18);
-                st.admittance(*a, *b, Complex::from_re(g));
+                admittance(m, *a, *b, Complex::from_re(g));
             }
         }
     }
-}
-
-/// Reference path: fresh dense factorization at every frequency.
-fn run_dense(
-    nl: &Netlist,
-    tech: &Technology,
-    op: &DcOperatingPoint,
-    freqs: &[f64],
-    tracer: &mut dyn Tracer,
-) -> Result<Vec<Vec<Complex>>, SimError> {
-    let dim = nl.unknown_count();
-    let x = op.solution();
-    let mut solutions = Vec::with_capacity(freqs.len());
-    for (index, &freq) in freqs.iter().enumerate() {
-        let started = Instant::now();
-        let omega = 2.0 * std::f64::consts::PI * freq;
-        let mut matrix = ComplexMatrix::zeros(dim, dim);
-        let mut rhs = vec![Complex::ZERO; dim];
-        stamp_ac(nl, tech, x, omega, &mut matrix, &mut rhs);
-        let lu = ComplexLuFactor::new(&matrix).map_err(|e| SimError::from_solve(nl, e))?;
-        let sol = lu.solve(&rhs).map_err(|e| SimError::from_solve(nl, e))?;
-        solutions.push(sol);
-        if tracer.enabled() {
-            tracer.record(&Event::AcPoint {
-                index,
-                freq,
-                lu_symbolic: 1,
-                lu_refactor: 0,
-                seconds: started.elapsed().as_secs_f64(),
-            });
-        }
-    }
-    Ok(solutions)
-}
-
-/// Production path: one symbolic analysis for the whole sweep. Only the
-/// jωC entries move between frequencies at a fixed operating point, so
-/// the pivot order chosen at the first frequency is re-used numerically
-/// for every later one, falling back to a full factorization if a pivot
-/// collapses.
-fn run_sparse(
-    nl: &Netlist,
-    tech: &Technology,
-    op: &DcOperatingPoint,
-    freqs: &[f64],
-    tracer: &mut dyn Tracer,
-) -> Result<Vec<Vec<Complex>>, SimError> {
-    let dim = nl.unknown_count();
-    let x = op.solution();
-    let coords = matrix_coords(nl);
-    let mut matrix = ComplexSparseMatrix::from_pattern(dim, &coords);
-    let mut rhs = vec![Complex::ZERO; dim];
-    let mut lu: Option<ComplexSparseLu> = None;
-    let mut solutions = Vec::with_capacity(freqs.len());
-    for (index, &freq) in freqs.iter().enumerate() {
-        let started = Instant::now();
-        let omega = 2.0 * std::f64::consts::PI * freq;
-        matrix.zero_values();
-        rhs.iter_mut().for_each(|v| *v = Complex::ZERO);
-        stamp_ac(nl, tech, x, omega, &mut matrix, &mut rhs);
-        let mut symbolic = 0;
-        let mut refactor = 0;
-        let refactored = match lu.as_mut() {
-            Some(l) => match l.refactor(&matrix) {
-                Ok(()) => {
-                    refactor = 1;
-                    true
-                }
-                // A pivot that was fine at the previous frequency has
-                // collapsed — redo the symbolic analysis.
-                Err(SolveError::Singular { .. }) => false,
-                Err(e) => return Err(SimError::from_solve(nl, e)),
-            },
-            None => false,
-        };
-        if !refactored {
-            lu = Some(
-                ComplexSparseLu::factor(&matrix).map_err(|e| SimError::from_solve(nl, e))?,
-            );
-            symbolic = 1;
-        }
-        let factored = lu.as_ref().expect("factorization exists after factor step");
-        let mut sol = vec![Complex::ZERO; dim];
-        factored
-            .solve_into(&rhs, &mut sol)
-            .map_err(|e| SimError::from_solve(nl, e))?;
-        solutions.push(sol);
-        if tracer.enabled() {
-            tracer.record(&Event::AcPoint {
-                index,
-                freq,
-                lu_symbolic: symbolic,
-                lu_refactor: refactor,
-                seconds: started.elapsed().as_secs_f64(),
-            });
-        }
-    }
-    Ok(solutions)
 }
 
 #[cfg(test)]

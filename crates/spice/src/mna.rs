@@ -19,13 +19,15 @@
 //! The two linear-solver backends differ only in how they factor the
 //! assembled system: the sparse one refactorises numerically against the
 //! cached symbolic factorization from [`ulp_num::sparse`], the dense one
-//! is the [`LuFactor`] oracle.
+//! is the [`LuFactor`] oracle. The same factor policy, generic over the
+//! scalar, factors the complex small-signal systems of AC and noise
+//! analysis.
 
 use crate::netlist::{Element, Netlist, Node};
 use crate::SimError;
 use ulp_num::lu::{LuFactor, SolveError};
 use ulp_num::sparse::{SparseLu, SparseMatrix};
-use ulp_num::Matrix;
+use ulp_num::{Field, Matrix};
 use ulp_device::load::PmosLoad;
 use ulp_device::{Mosfet, Technology};
 
@@ -305,20 +307,99 @@ struct BypassSlot {
     pend_i_eq: f64,
 }
 
-/// The one place the two backends differ: how the assembled system is
-/// factored and solved.
-enum Backend {
+/// The one factor policy for every MNA-shaped system: the real
+/// [`MnaWorkspace`], the complex AC sweep and the noise analysis all
+/// factor and solve through it, so the refactor-or-re-pivot decision
+/// exists once.
+pub(crate) enum Backend<T> {
     /// The linear-algebra oracle: the assembled values are scattered
     /// into a reused dense matrix and factored from scratch by
     /// [`LuFactor`] on every call.
     Dense {
-        full: Matrix,
-        lu: Option<LuFactor>,
+        full: Matrix<T>,
+        lu: Option<LuFactor<T>>,
     },
     /// The symbolic factorization (pivot order + fill-in pattern) is
     /// reused across restamps, with a full re-pivot only when a numeric
-    /// refactorization hits a collapsed pivot.
-    Sparse(Option<SparseLu>),
+    /// refactorization hits a collapsed pivot or the caller asks for one.
+    Sparse(Option<SparseLu<T>>),
+}
+
+const UNFACTORED: &str = "factor() must succeed first";
+
+impl<T: Field> Backend<T> {
+    /// The backend `kind` resolves to for a system of dimension `dim`.
+    pub(crate) fn new(kind: SolverKind, dim: usize) -> Self {
+        match kind.resolve(dim) {
+            SolverKind::Sparse => Backend::Sparse(None),
+            _ => Backend::Dense {
+                full: Matrix::zeros(dim, dim),
+                lu: None,
+            },
+        }
+    }
+
+    /// Factors `a`. The sparse backend tries a numeric refactorization
+    /// against the cached pivot order first (unless `repivot` is set)
+    /// and escalates to a full factorization when a pivot has
+    /// collapsed; the dense backend always factors from scratch.
+    /// Returns `true` after a full (pivot-choosing) factorization and
+    /// `false` after a refactorization.
+    pub(crate) fn factor(
+        &mut self,
+        a: &SparseMatrix<T>,
+        repivot: bool,
+    ) -> Result<bool, SolveError> {
+        match self {
+            Backend::Dense { full, lu } => {
+                *lu = None;
+                full.clear();
+                for i in 0..a.dim() {
+                    let (cols, vals) = a.row(i);
+                    for (c, v) in cols.iter().zip(vals) {
+                        full[(i, *c as usize)] = *v;
+                    }
+                }
+                *lu = Some(LuFactor::new(full)?);
+            }
+            Backend::Sparse(lu) => {
+                if let (false, Some(l)) = (repivot, lu.as_mut()) {
+                    match l.refactor(a) {
+                        Ok(()) => return Ok(false),
+                        // Stale pivot order — fall through and re-pivot.
+                        Err(SolveError::Singular { .. }) => {}
+                        Err(e) => return Err(e),
+                    }
+                }
+                *lu = Some(SparseLu::factor(a)?);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Row permutation of the last factorization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Self::factor`] has not succeeded yet.
+    pub(crate) fn permutation(&self) -> &[usize] {
+        match self {
+            Backend::Dense { lu, .. } => lu.as_ref().expect(UNFACTORED).permutation(),
+            Backend::Sparse(lu) => lu.as_ref().expect(UNFACTORED).permutation(),
+        }
+    }
+
+    /// Solves the factored system against `b`, writing into `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Self::factor`] has not succeeded yet.
+    pub(crate) fn solve_into(&self, b: &[T], x: &mut Vec<T>) -> Result<(), SolveError> {
+        match self {
+            Backend::Dense { lu, .. } => lu.as_ref().expect(UNFACTORED).solve_into(b, x),
+            Backend::Sparse(lu) => lu.as_ref().expect(UNFACTORED).solve_into(b, x),
+        }
+    }
 }
 
 /// A reusable MNA assembly + solve workspace, allocated once per
@@ -372,7 +453,7 @@ pub struct MnaWorkspace {
     /// a numeric refactor. Same-family step-size changes keep the pivot
     /// order and only refresh the static values.
     force_symbolic: bool,
-    backend: Backend,
+    backend: Backend<f64>,
     symbolic: usize,
     refactors: usize,
     swaps: usize,
@@ -405,13 +486,6 @@ impl MnaWorkspace {
                 )
             })
             .count();
-        let backend = match solver.resolve(dim) {
-            SolverKind::Sparse => Backend::Sparse(None),
-            _ => Backend::Dense {
-                full: Matrix::zeros(dim, dim),
-                lu: None,
-            },
-        };
         MnaWorkspace {
             dim,
             nn: nl.node_count() - 1,
@@ -423,7 +497,7 @@ impl MnaWorkspace {
             bypass: vec![BypassSlot::default(); n_nonlinear],
             prep: None,
             force_symbolic: false,
-            backend,
+            backend: Backend::new(solver, dim),
             symbolic: 0,
             refactors: 0,
             swaps: 0,
@@ -587,49 +661,20 @@ impl MnaWorkspace {
         worst
     }
 
-    /// Factorises the currently assembled matrix. The sparse backend
-    /// tries a numeric refactorization against the cached pivot order
-    /// first and escalates to a full symbolic factorization when a pivot
-    /// has collapsed; the dense backend always factors from scratch.
+    /// Factorises the currently assembled matrix through the workspace's
+    /// [`Backend`]: a numeric refactorization on the cached sparse pivot
+    /// order where possible, a full re-pivot after a change of assembly
+    /// family or a collapsed pivot, and a fresh dense factorization on
+    /// the dense backend.
     pub fn factor(&mut self) -> Result<(), SolveError> {
-        match &mut self.backend {
-            Backend::Dense { full, lu } => {
-                *lu = None;
-                full.clear();
-                for i in 0..self.dim {
-                    let (cols, vals) = self.mat.row(i);
-                    for (c, v) in cols.iter().zip(vals) {
-                        full[(i, *c as usize)] = *v;
-                    }
-                }
-                let f = LuFactor::new(full)?;
-                self.symbolic += 1;
-                self.swaps += displaced_rows(f.permutation());
-                *lu = Some(f);
-                Ok(())
-            }
-            Backend::Sparse(lu) => {
-                if !self.force_symbolic {
-                    if let Some(l) = lu.as_mut() {
-                        match l.refactor(&self.mat) {
-                            Ok(()) => {
-                                self.refactors += 1;
-                                return Ok(());
-                            }
-                            // Stale pivot order — fall through and re-pivot.
-                            Err(SolveError::Singular { .. }) => {}
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                let f = SparseLu::factor(&self.mat)?;
-                self.symbolic += 1;
-                self.swaps += displaced_rows(f.permutation());
-                *lu = Some(f);
-                self.force_symbolic = false;
-                Ok(())
-            }
+        if self.backend.factor(&self.mat, self.force_symbolic)? {
+            self.symbolic += 1;
+            self.swaps += displaced_rows(self.backend.permutation());
+            self.force_symbolic = false;
+        } else {
+            self.refactors += 1;
         }
+        Ok(())
     }
 
     /// Solves the factored system against the assembled RHS, writing into
@@ -640,11 +685,7 @@ impl MnaWorkspace {
     /// Panics if [`Self::factor`] has not succeeded since the last
     /// [`Self::assemble`].
     pub fn solve_into(&self, x: &mut Vec<f64>) -> Result<(), SolveError> {
-        const UNFACTORED: &str = "factor() must succeed before solve_into()";
-        match &self.backend {
-            Backend::Dense { lu, .. } => lu.as_ref().expect(UNFACTORED).solve_into(&self.rhs, x),
-            Backend::Sparse(lu) => lu.as_ref().expect(UNFACTORED).solve_into(&self.rhs, x),
-        }
+        self.backend.solve_into(&self.rhs, x)
     }
 
     /// Ratio of the largest to the smallest pivot magnitude of the last
@@ -655,7 +696,6 @@ impl MnaWorkspace {
     ///
     /// Panics if [`Self::factor`] has not succeeded yet.
     pub fn pivot_ratio(&self) -> f64 {
-        const UNFACTORED: &str = "factor() must succeed before pivot_ratio()";
         match &self.backend {
             Backend::Dense { lu, .. } => lu.as_ref().expect(UNFACTORED).pivot_ratio(),
             Backend::Sparse(lu) => lu.as_ref().expect(UNFACTORED).pivot_ratio(),

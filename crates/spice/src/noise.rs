@@ -20,13 +20,12 @@
 use crate::ac::stamp_ac;
 use crate::dcop::DcOperatingPoint;
 use crate::error::SimError;
-use crate::mna::{require_unknowns, voltage_of};
+use crate::mna::{matrix_coords, require_unknowns, voltage_of, Backend, SolverKind};
 use crate::netlist::{Element, Netlist, Node};
 use crate::telemetry::{self, Event, Tracer};
 use std::time::Instant;
 use ulp_device::Technology;
-use ulp_num::lu::ComplexLuFactor;
-use ulp_num::{Complex, ComplexMatrix};
+use ulp_num::{Complex, SparseMatrix};
 
 /// Boltzmann constant, J/K.
 pub const BOLTZMANN: f64 = 1.380_649e-23;
@@ -176,18 +175,22 @@ pub fn noise_analysis_traced(
     let dim = nl.unknown_count();
     let out_idx = output.index() - 1;
     // The small-signal matrix and the (ignored) AC source vector of the
-    // shared stamper, reused across frequencies.
-    let mut m = ComplexMatrix::zeros(dim, dim);
+    // shared stamper, reused across frequencies. The matrix is factored
+    // on the dense backend, whose pivot order the published noise
+    // figures were computed with.
+    let mut m = SparseMatrix::from_pattern(dim, &matrix_coords(nl));
     let mut ac_rhs = vec![Complex::ZERO; dim];
+    let mut backend = Backend::new(SolverKind::Dense, dim);
+    let mut x = Vec::with_capacity(dim);
     let mut output_psd = Vec::with_capacity(freqs.len());
     // Per-source PSD at each frequency for the contribution integrals.
     let mut per_source: Vec<Vec<f64>> = vec![Vec::with_capacity(freqs.len()); sources.len()];
     let enabled = tracer.enabled();
     for (fi, &f) in freqs.iter().enumerate() {
         let t0 = enabled.then(Instant::now);
-        m.clear();
+        m.zero_values();
         stamp_ac(nl, tech, op.solution(), 2.0 * std::f64::consts::PI * f, &mut m, &mut ac_rhs);
-        let lu = ComplexLuFactor::new(&m)?;
+        backend.factor(&m, false)?;
         let mut total = 0.0;
         for (k, src) in sources.iter().enumerate() {
             let mut rhs = vec![Complex::ZERO; dim];
@@ -198,7 +201,7 @@ pub fn noise_analysis_traced(
             if !src.n.is_ground() {
                 rhs[src.n.index() - 1] += Complex::ONE;
             }
-            let x = lu.solve(&rhs)?;
+            backend.solve_into(&rhs, &mut x)?;
             let transfer = x[out_idx].norm_sqr(); // |Z|² (V/A)²
             let psd = transfer * src.psd;
             per_source[k].push(psd);

@@ -287,11 +287,23 @@ fn prom_num(v: f64) -> String {
     }
 }
 
+/// A counter, `_bucket` or `_count` sample value: a finite,
+/// non-negative integer.
+fn count_value(v: f64, ln: usize, name: &str) -> Result<u64, String> {
+    if v.is_finite() && v >= 0.0 && v.fract() == 0.0 {
+        Ok(v as u64)
+    } else {
+        Err(format!("line {ln}: {name} value {v} is not a non-negative integer count"))
+    }
+}
+
 /// Validates a Prometheus text exposition: every sample line must carry
 /// a legal metric name and a parseable value, every sample's base name
-/// must have a preceding `# TYPE`, histogram `_bucket` series must be
-/// cumulative (non-decreasing) ending in a `+Inf` bucket that equals
-/// the metric's `_count`. Returns the number of sample lines.
+/// must have a preceding `# TYPE`, counter samples and histogram
+/// `_bucket`/`_count` samples must be finite non-negative integers, and
+/// `_bucket` series must be cumulative (non-decreasing) ending in a
+/// `+Inf` bucket that equals the metric's `_count`. Returns the number
+/// of sample lines.
 ///
 /// # Errors
 ///
@@ -351,8 +363,11 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
                     .filter(|b| typed.get(*b).map(String::as_str) == Some("histogram"))
             })
             .unwrap_or(name);
-        if !typed.contains_key(base) {
+        let Some(kind) = typed.get(base) else {
             return Err(format!("line {ln}: sample {name} has no # TYPE declaration"));
+        };
+        if kind == "counter" {
+            count_value(v, ln, name)?;
         }
         if let Some(bucket_of) = name
             .strip_suffix("_bucket")
@@ -362,7 +377,7 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
                 .and_then(|l| l.strip_prefix("le=\""))
                 .and_then(|l| l.strip_suffix('"'))
                 .ok_or(format!("line {ln}: bucket without le label"))?;
-            let cum = v as u64;
+            let cum = count_value(v, ln, name)?;
             if let Some(&prev) = last_bucket.get(bucket_of) {
                 if cum < prev {
                     return Err(format!("line {ln}: bucket series for {bucket_of} decreases"));
@@ -377,7 +392,7 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
             .strip_suffix("_count")
             .filter(|b| typed.get(*b).map(String::as_str) == Some("histogram"))
         {
-            counts.insert(count_of.to_string(), v as u64);
+            counts.insert(count_of.to_string(), count_value(v, ln, name)?);
         }
         samples += 1;
     }
@@ -490,6 +505,26 @@ mod tests {
             "+Inf != count"
         );
         assert_eq!(validate_prometheus("").unwrap(), 0);
+    }
+
+    #[test]
+    fn validator_rejects_fractional_bucket_counts() {
+        let text = "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2.7\nh_sum 1\nh_count 2";
+        let err = validate_prometheus(text).unwrap_err();
+        assert!(err.contains("line 2"), "{err}");
+    }
+
+    #[test]
+    fn validator_rejects_negative_bucket_counts() {
+        let text = "# TYPE h histogram\nh_bucket{le=\"+Inf\"} -3\nh_sum 0\nh_count 0";
+        let err = validate_prometheus(text).unwrap_err();
+        assert!(err.contains("line 2"), "{err}");
+    }
+
+    #[test]
+    fn validator_rejects_non_finite_counter_samples() {
+        let err = validate_prometheus("# TYPE c counter\nc NaN").unwrap_err();
+        assert!(err.contains("line 2"), "{err}");
     }
 
     #[test]

@@ -1,87 +1,16 @@
-//! Human-readable netlist export and operating-point reports.
+//! Operating-point reports.
 //!
 //! `ulp-spice` netlists are built programmatically; when a circuit
-//! misbehaves you want to *see* it. [`netlist_to_string`] renders a
-//! SPICE-deck-style listing (for eyeballs and diffs — there is no
-//! parser), and [`OpReport`] tabulates every element's branch current,
-//! dissipation and — for MOS devices — region and small-signal
-//! parameters at a solved operating point.
+//! misbehaves you want to *see* it. [`OpReport`] tabulates every
+//! element's branch current, dissipation and — for MOS devices — region
+//! and small-signal parameters at a solved operating point. (To see the
+//! netlist itself, `ulp_ir::design_from_netlist(&nl)?.to_text()` prints
+//! it as `.ulp` text that `ulp_ir::parse` reads back.)
 
 use crate::dcop::DcOperatingPoint;
 use crate::mna::voltage_of;
 use crate::netlist::{Element, Netlist};
 use std::fmt::Write as _;
-
-/// Renders the netlist as a SPICE-deck-style text listing.
-pub fn netlist_to_string(nl: &Netlist) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "* {} nodes, {} elements", nl.node_count(), nl.elements().len());
-    for e in nl.elements() {
-        let line = match e {
-            Element::Resistor { name, a, b, ohms } => {
-                format!("R {name} {} {} {ohms:.6e}", nl.node_name(*a), nl.node_name(*b))
-            }
-            Element::Capacitor { name, a, b, farads } => {
-                format!("C {name} {} {} {farads:.6e}", nl.node_name(*a), nl.node_name(*b))
-            }
-            Element::Vsource { name, p, n, wave, ac } => format!(
-                "V {name} {} {} dc={:.6e} ac={ac:.3e}",
-                nl.node_name(*p),
-                nl.node_name(*n),
-                wave.dc()
-            ),
-            Element::Isource { name, p, n, wave, ac } => format!(
-                "I {name} {} {} dc={:.6e} ac={ac:.3e}",
-                nl.node_name(*p),
-                nl.node_name(*n),
-                wave.dc()
-            ),
-            Element::Vcvs {
-                name, p, n, cp, cn, gain,
-            } => format!(
-                "E {name} {} {} {} {} {gain:.6e}",
-                nl.node_name(*p),
-                nl.node_name(*n),
-                nl.node_name(*cp),
-                nl.node_name(*cn)
-            ),
-            Element::Vccs {
-                name, p, n, cp, cn, gm,
-            } => format!(
-                "G {name} {} {} {} {} {gm:.6e}",
-                nl.node_name(*p),
-                nl.node_name(*n),
-                nl.node_name(*cp),
-                nl.node_name(*cn)
-            ),
-            Element::Diode {
-                name, p, n, is_sat, n_id,
-            } => format!(
-                "D {name} {} {} is={is_sat:.3e} n={n_id}",
-                nl.node_name(*p),
-                nl.node_name(*n)
-            ),
-            Element::Mos { name, d, g, s: src, b, dev } => format!(
-                "M {name} {} {} {} {} {} w={:.2e} l={:.2e}",
-                nl.node_name(*d),
-                nl.node_name(*g),
-                nl.node_name(*src),
-                nl.node_name(*b),
-                dev.polarity,
-                dev.w,
-                dev.l
-            ),
-            Element::SclLoad { name, a, b, load, iss } => format!(
-                "L {name} {} {} vsw={} iss={iss:.3e} (scl-load)",
-                nl.node_name(*a),
-                nl.node_name(*b),
-                load.vsw
-            ),
-        };
-        let _ = writeln!(s, "{line}");
-    }
-    s
-}
 
 /// One element's operating-point record.
 #[derive(Debug, Clone, PartialEq)]
@@ -275,16 +204,6 @@ mod tests {
         nl.resistor("R1", a, m, 1e3);
         nl.resistor("R2", m, Netlist::GROUND, 1e3);
         nl
-    }
-
-    #[test]
-    fn listing_contains_every_element() {
-        let nl = divider();
-        let s = netlist_to_string(&nl);
-        assert!(s.contains("V V1 a 0 dc=2"));
-        assert!(s.contains("R R1 a mid"));
-        assert!(s.contains("R R2 mid 0"));
-        assert!(s.lines().count() >= 4);
     }
 
     #[test]

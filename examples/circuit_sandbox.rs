@@ -2,7 +2,7 @@
 //! playground.
 //!
 //! Builds the paper's Fig. 2 STSCL buffer at transistor level, prints
-//! the netlist listing and the tabulated operating point, sweeps the
+//! the netlist as `.ulp` text and the tabulated operating point, sweeps the
 //! VTC, measures the propagation delay in transient analysis, and runs
 //! a noise analysis — the full analog tool flow, no converter involved.
 //!
@@ -12,7 +12,7 @@ use ulp_device::Technology;
 use ulp_num::interp::{decade_sweep, linspace};
 use ulp_spice::dcop::DcOperatingPoint;
 use ulp_spice::noise::noise_analysis;
-use ulp_spice::report::{netlist_to_string, OpReport};
+use ulp_spice::report::OpReport;
 use ulp_spice::Waveform;
 use ulp_stscl::vtc::SclBufferCircuit;
 use ulp_stscl::SclParams;
@@ -23,8 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let iss = 1e-9;
     let circuit = SclBufferCircuit::build(&tech, &params, iss, 0.6, Waveform::Dc(0.0));
 
-    println!("--- netlist ---");
-    print!("{}", netlist_to_string(&circuit.netlist));
+    println!("--- netlist (.ulp) ---");
+    print!("{}", ulp_ir::design_from_netlist(&circuit.netlist)?.to_text());
 
     println!("\n--- DC operating point ---");
     let op = DcOperatingPoint::solve(&circuit.netlist, &tech)?;

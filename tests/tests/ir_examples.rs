@@ -164,7 +164,13 @@ fn empty_deck_is_a_typed_error_in_every_analysis() {
         let fixed = Transient::run(&nl, &tech, &TranOptions::new(1e-6, 1e-8)).map(|_| ());
         let adaptive =
             Transient::run_adaptive(&nl, &tech, &AdaptiveOptions::new(1e-6, 1e-7)).map(|_| ());
-        for (analysis, r) in [("dcop", dc), ("tran", fixed), ("adaptive tran", adaptive)] {
+        let cert = absint::certify(&nl, &tech, &CertifyOptions::default()).map(|_| ());
+        for (analysis, r) in [
+            ("dcop", dc),
+            ("tran", fixed),
+            ("adaptive tran", adaptive),
+            ("certify", cert),
+        ] {
             match r {
                 Err(e @ SimError::EmptyNetlist) => assert!(e.to_string().contains("hint:")),
                 other => panic!("{analysis}: expected EmptyNetlist, got {other:?}"),
