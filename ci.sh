@@ -126,6 +126,27 @@ cargo run --release -q -p ulp-bench --bin solver_bench -- \
 cmp BENCH_tran_adaptive.json results/tran_adaptive.stability.json
 rm -f results/tran_adaptive.stability.json
 
+# Benchmark solver work: at the committed seed, each workload's
+# deterministic counters (Newton iterations, gmin fallbacks, LU symbolic
+# and refactor counts, step and bypass counters) must equal the record
+# in perfbench/counts.jsonl, so a change that claims a speedup cannot
+# get it by doing different work. "allocations_per_op" is masked on both
+# sides: it counts allocator calls rather than solver work, and the
+# record's value is stale.
+mask_allocs() { sed -E 's/"allocations_per_op":[0-9]+,//'; }
+for w in chain-tran design-check pvt-campaign; do
+    got=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --counts --workload "$w" --seed 1 | tail -1 | mask_allocs)
+    want=$(grep "\"workload\":\"$w\"" perfbench/counts.jsonl | mask_allocs)
+    if [ "$got" != "$want" ]; then
+        echo "FAIL: $w solver counts differ from perfbench/counts.jsonl"
+        echo "  got:  $got"
+        echo "  want: $want"
+        exit 1
+    fi
+done
+echo "benchmark solver counts (perfbench/counts.jsonl at seed 1, allocations masked) OK"
+
 # Sparse solver bench: times dcop/sweep/transient on every builder
 # netlist under both linear-algebra backends plus the adaptive-vs-fixed
 # transient comparison, writes BENCH_solver.json and

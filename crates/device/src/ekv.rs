@@ -40,11 +40,15 @@ pub fn interp(v: f64) -> f64 {
 
 /// Derivative `F'(v) = √F · (1 − e^{−√F})`.
 pub fn interp_deriv(v: f64) -> f64 {
-    let l = softplus_half(v);
+    deriv_of_root(softplus_half(v))
+}
+
+/// `F'` from `l = √F = softplus_half(v)`: `l · (1 − e^{−l})`.
+fn deriv_of_root(l: f64) -> f64 {
     if l == 0.0 {
         return 0.0;
     }
-    l * (-(-l).exp_m1()) // l · (1 − e^{−l})
+    l * (-(-l).exp_m1())
 }
 
 /// `ln(1 + e^{v/2})` without overflow.
@@ -105,14 +109,16 @@ pub struct ChannelEval {
 ///
 /// All outputs are normalised: multiply `i_norm` by `IS` and the
 /// derivatives by `IS/UT` to recover ampere/siemens quantities.
+///
+/// Each terminal costs one `ln(1 + e^{x/2})`: `F` and `F'` both derive
+/// from `l = √F`, bit for bit as [`interp`] and [`interp_deriv`] give
+/// them.
 pub fn channel(vg: f64, vs: f64, vd: f64, vt0: f64, n: f64, ut: f64) -> ChannelEval {
     let vp = (vg - vt0) / n;
-    let xf = (vp - vs) / ut;
-    let xr = (vp - vd) / ut;
-    let i_f = interp(xf);
-    let i_r = interp(xr);
-    let df = interp_deriv(xf);
-    let dr = interp_deriv(xr);
+    let lf = softplus_half((vp - vs) / ut);
+    let lr = softplus_half((vp - vd) / ut);
+    let (i_f, df) = (lf * lf, deriv_of_root(lf));
+    let (i_r, dr) = (lr * lr, deriv_of_root(lr));
     ChannelEval {
         i_norm: i_f - i_r,
         i_f,
@@ -248,6 +254,38 @@ mod tests {
         assert!((dg - base.di_dvg / ut).abs() / dg.abs() < 1e-5);
         assert!((ds - base.di_dvs / ut).abs() / ds.abs() < 1e-5);
         assert!((dd - base.di_dvd / ut).abs() / dd.abs() < 1e-5);
+    }
+
+    #[test]
+    fn channel_shares_each_softplus_bit_for_bit() {
+        // `channel` derives F and F' from one softplus per terminal; the
+        // results must be exactly `interp`/`interp_deriv`, which the
+        // certifier's envelopes call. The grid crosses both clamps of
+        // `softplus_half` (x/2 > 40 and x/2 < −700).
+        let (vg, vt0, n, ut) = (0.42, 0.45, 1.35, 0.02585);
+        let vp = (vg - vt0) / n;
+        let volts: Vec<f64> = (-60..=800).map(|k| k as f64 * 0.05).collect();
+        let (mut above, mut below) = (false, false);
+        for &vs in &volts {
+            for &vd in volts.iter().step_by(7) {
+                let e = channel(vg, vs, vd, vt0, n, ut);
+                let (xf, xr) = ((vp - vs) / ut, (vp - vd) / ut);
+                above |= 0.5 * xf > 40.0;
+                below |= 0.5 * xf < -700.0;
+                let (df, dr) = (interp_deriv(xf), interp_deriv(xr));
+                let ctx = format!("vs {vs} vd {vd}");
+                assert_eq!(e.i_f.to_bits(), interp(xf).to_bits(), "{ctx}: i_f");
+                assert_eq!(e.i_r.to_bits(), interp(xr).to_bits(), "{ctx}: i_r");
+                assert_eq!(e.di_dvs.to_bits(), (-df).to_bits(), "{ctx}: di_dvs");
+                assert_eq!(e.di_dvd.to_bits(), dr.to_bits(), "{ctx}: di_dvd");
+                assert_eq!(
+                    e.di_dvg.to_bits(),
+                    ((df - dr) / n).to_bits(),
+                    "{ctx}: di_dvg"
+                );
+            }
+        }
+        assert!(above && below, "grid must cross both softplus clamps");
     }
 
     #[test]

@@ -46,5 +46,5 @@ pub mod mosfet;
 pub mod pvt;
 pub mod tech;
 
-pub use mosfet::{MosOperatingPoint, MosTerminal, Mosfet, Polarity};
+pub use mosfet::{MosOperatingPoint, MosParams, MosTerminal, Mosfet, Polarity};
 pub use tech::Technology;

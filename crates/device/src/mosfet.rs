@@ -152,6 +152,68 @@ pub struct MosOperatingPoint {
     pub saturated: bool,
 }
 
+/// The bias-independent constants of one device at one technology
+/// card: everything [`Mosfet::operating_point`] derives before it looks
+/// at the terminal voltages. A simulator builds one per device when it
+/// plans a netlist ([`Mosfet::params`]) and evaluates it at every
+/// iterate with [`MosParams::operating_point`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MosParams {
+    polarity: Polarity,
+    /// Threshold voltage magnitude including mismatch, V.
+    vt: f64,
+    /// Subthreshold slope factor.
+    n: f64,
+    /// Thermal voltage `UT`, V.
+    ut: f64,
+    /// Specific current `IS`, A.
+    is: f64,
+    /// Channel-length-modulation coefficient, 1/V.
+    lambda: f64,
+    /// `IS/UT`, S: scales the normalised derivatives to siemens.
+    g_scale: f64,
+}
+
+impl MosParams {
+    /// Device polarity.
+    pub fn polarity(&self) -> Polarity {
+        self.polarity
+    }
+
+    /// Full operating point at terminal voltages (V, referred to the
+    /// device's bulk); see [`Mosfet::operating_point`].
+    pub fn operating_point(&self, vg: f64, vs: f64, vd: f64) -> MosOperatingPoint {
+        // Reflect PMOS onto the NMOS prototype.
+        let (vg_n, vs_n, vd_n) = match self.polarity {
+            Polarity::Nmos => (vg, vs, vd),
+            Polarity::Pmos => (-vg, -vs, -vd),
+        };
+        let eval = ekv::channel(vg_n, vs_n, vd_n, self.vt, self.n, self.ut);
+        // Channel-length modulation applied in saturation only, on the
+        // forward magnitude.
+        let vds_n = vd_n - vs_n;
+        let clm = 1.0 + self.lambda * vds_n.max(0.0);
+        let id = self.is * eval.i_norm * clm;
+        let gm = self.g_scale * eval.di_dvg * clm;
+        let gms = self.g_scale * eval.di_dvs * clm;
+        // gds picks up the CLM term as well.
+        let gds = self.g_scale * eval.di_dvd * clm
+            + if vds_n > 0.0 {
+                self.is * eval.i_norm * self.lambda
+            } else {
+                0.0
+            };
+        MosOperatingPoint {
+            id,
+            gm,
+            gms,
+            gds,
+            inversion: eval.i_f,
+            saturated: ekv::is_saturated(&eval, 0.01),
+        }
+    }
+}
+
 impl Mosfet {
     /// Creates a nominal (mismatch-free) device.
     ///
@@ -207,6 +269,22 @@ impl Mosfet {
         self.model(tech).cj * self.w * 2.0 * tech.l_min
     }
 
+    /// The bias-independent constants of this device at `tech`.
+    pub fn params(&self, tech: &Technology) -> MosParams {
+        let m = self.model(tech);
+        let ut = tech.thermal_voltage();
+        let is = self.specific_current(tech);
+        MosParams {
+            polarity: self.polarity,
+            vt: m.vt_at(tech.temperature) + self.delta_vt,
+            n: m.n,
+            ut,
+            is,
+            lambda: self.lambda(tech),
+            g_scale: is / ut,
+        }
+    }
+
     /// Full operating point at terminal voltages (V, referred to this
     /// device's bulk).
     ///
@@ -214,36 +292,7 @@ impl Mosfet {
     /// referred to the n-well; the reflection to the NMOS prototype is
     /// internal.
     pub fn operating_point(&self, tech: &Technology, vg: f64, vs: f64, vd: f64) -> MosOperatingPoint {
-        let m = self.model(tech);
-        let ut = tech.thermal_voltage();
-        let vt = m.vt_at(tech.temperature) + self.delta_vt;
-        // Reflect PMOS onto the NMOS prototype.
-        let (vg_n, vs_n, vd_n) = match self.polarity {
-            Polarity::Nmos => (vg, vs, vd),
-            Polarity::Pmos => (-vg, -vs, -vd),
-        };
-        let eval = ekv::channel(vg_n, vs_n, vd_n, vt, m.n, ut);
-        let is = self.specific_current(tech);
-        // Channel-length modulation applied in saturation only, on the
-        // forward magnitude.
-        let vds_n = vd_n - vs_n;
-        let lam = self.lambda(tech);
-        let clm = 1.0 + lam * vds_n.max(0.0);
-        let id = is * eval.i_norm * clm;
-        let g_scale = is / ut;
-        let gm = g_scale * eval.di_dvg * clm;
-        let gms = g_scale * eval.di_dvs * clm;
-        // gds picks up the CLM term as well.
-        let gds = g_scale * eval.di_dvd * clm
-            + if vds_n > 0.0 { is * eval.i_norm * lam } else { 0.0 };
-        MosOperatingPoint {
-            id,
-            gm,
-            gms,
-            gds,
-            inversion: eval.i_f,
-            saturated: ekv::is_saturated(&eval, 0.01),
-        }
+        self.params(tech).operating_point(vg, vs, vd)
     }
 
     /// Drain current magnitude at the given terminal voltages, A.
@@ -457,6 +506,79 @@ mod tests {
         assert!(vdd_min > pair.min_supply(&t, 1e-10, 0.2));
         // And the floor always covers the swing itself.
         assert!(vdd_min > 0.2 + 4.0 * t.thermal_voltage());
+    }
+
+    /// Reference evaluation with nothing hoisted: every
+    /// bias-independent term derived from the card on each call, and
+    /// `F`, `F'` from the scalar EKV functions.
+    fn per_call_operating_point(
+        m: &Mosfet,
+        tech: &Technology,
+        vg: f64,
+        vs: f64,
+        vd: f64,
+    ) -> MosOperatingPoint {
+        let card = m.model(tech);
+        let ut = tech.thermal_voltage();
+        let vt = card.vt_at(tech.temperature) + m.delta_vt;
+        let (vg_n, vs_n, vd_n) = match m.polarity {
+            Polarity::Nmos => (vg, vs, vd),
+            Polarity::Pmos => (-vg, -vs, -vd),
+        };
+        let vp = (vg_n - vt) / card.n;
+        let (xf, xr) = ((vp - vs_n) / ut, (vp - vd_n) / ut);
+        let (i_f, i_r) = (ekv::interp(xf), ekv::interp(xr));
+        let (df, dr) = (ekv::interp_deriv(xf), ekv::interp_deriv(xr));
+        let i_norm = i_f - i_r;
+        let is = m.specific_current(tech);
+        let vds_n = vd_n - vs_n;
+        let lam = m.lambda(tech);
+        let clm = 1.0 + lam * vds_n.max(0.0);
+        let g_scale = is / ut;
+        MosOperatingPoint {
+            id: is * i_norm * clm,
+            gm: g_scale * ((df - dr) / card.n) * clm,
+            gms: g_scale * -df * clm,
+            gds: g_scale * dr * clm + if vds_n > 0.0 { is * i_norm * lam } else { 0.0 },
+            inversion: i_f,
+            saturated: i_r < 0.01 * i_f,
+        }
+    }
+
+    fn bits(op: &MosOperatingPoint) -> ([u64; 5], bool) {
+        let f = [op.id, op.gm, op.gms, op.gds, op.inversion];
+        (f.map(f64::to_bits), op.saturated)
+    }
+
+    #[test]
+    fn hoisted_constants_evaluate_bit_for_bit() {
+        let devices = [
+            Mosfet::new(Polarity::Nmos, 1e-6, 0.5e-6),
+            Mosfet::with_mismatch(Polarity::Nmos, 2e-6, 1e-6, 0.012, -0.03),
+            Mosfet::with_mismatch(Polarity::Pmos, 1.5e-6, 0.5e-6, -0.008, 0.02),
+        ];
+        let volts = [-0.9, -0.45, -0.2, -0.05, 0.0, 0.05, 0.2, 0.45, 0.9];
+        for t in [300.0, 400.0] {
+            let card = tech().at_temperature(t);
+            for m in &devices {
+                let params = m.params(&card);
+                for vg in volts {
+                    for vs in volts {
+                        for vd in volts {
+                            let hoisted = bits(&params.operating_point(vg, vs, vd));
+                            let ctx = format!("{:?} at {t} K, ({vg}, {vs}, {vd})", m.polarity);
+                            assert_eq!(
+                                hoisted,
+                                bits(&m.operating_point(&card, vg, vs, vd)),
+                                "{ctx}"
+                            );
+                            let per_call = per_call_operating_point(m, &card, vg, vs, vd);
+                            assert_eq!(hoisted, bits(&per_call), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use ulp_num::lu::{LuFactor, SolveError};
 use ulp_num::sparse::{SparseLu, SparseMatrix};
 use ulp_num::{Field, Matrix};
 use ulp_device::load::PmosLoad;
-use ulp_device::{Mosfet, Technology};
+use ulp_device::{MosParams, Polarity, Technology};
 
 /// Integration method for transient companion models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -192,40 +192,138 @@ impl Quad {
     }
 }
 
-/// Adds `v` to the static stamp at `(r, c)`, dropping ground coordinates.
-fn stat_add(mat: &SparseMatrix, vals: &mut [f64], r: u32, c: u32, v: f64) {
-    if r == NO_IDX || c == NO_IDX {
-        return;
+/// Where a [`StaticEntry`] takes its value from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StaticKind {
+    /// The entry's own constant.
+    Const,
+    /// The gmin of the assembly.
+    Gmin,
+    /// The companion conductance of the entry's signed capacitance;
+    /// transient only, skipped at DC.
+    Cap,
+}
+
+/// One corner of an iterate-independent stamp, slot-resolved at plan
+/// time: [`MnaWorkspace`] replays the entries in stamping order to fill
+/// its static snapshot, so each slot sums the same terms in the same
+/// order as a direct stamp would. A subtracted corner stores its value
+/// negated (`x − g` and `x + (−g)` round identically), a capacitor its
+/// signed farads (the companion divides by `dt` with the sign intact).
+#[derive(Debug, Clone, Copy)]
+struct StaticEntry {
+    v: f64,
+    slot: u32,
+    kind: StaticKind,
+}
+
+/// Walks the iterate-independent stamps of `nl` in stamping order —
+/// the gmin diagonal, then each element's corners — calling
+/// `emit(row, col, kind, value)` for every corner off ground.
+fn static_stamps(nl: &Netlist, mut emit: impl FnMut(u32, u32, StaticKind, f64)) {
+    let mut put = |r: u32, c: u32, kind: StaticKind, v: f64| {
+        if r != NO_IDX && c != NO_IDX {
+            emit(r, c, kind, v);
+        }
+    };
+    fn quad(
+        put: &mut impl FnMut(u32, u32, StaticKind, f64),
+        [p, n, cp, cn]: [u32; 4],
+        kind: StaticKind,
+        v: f64,
+    ) {
+        put(p, cp, kind, v);
+        put(p, cn, kind, -v);
+        put(n, cp, kind, -v);
+        put(n, cn, kind, v);
     }
-    let s = mat
-        .slot(r as usize, c as usize)
-        .expect("static stamp missing from sparse pattern");
-    vals[s] += v;
+    fn pair(put: &mut impl FnMut(u32, u32, StaticKind, f64), i: u32, rb: u32, v: f64) {
+        put(i, rb, StaticKind::Const, v);
+        put(rb, i, StaticKind::Const, v);
+    }
+
+    let nn = (nl.node_count() - 1) as u32;
+    for i in 0..nn {
+        put(i, i, StaticKind::Gmin, 0.0);
+    }
+    let mut branch = nn;
+    for e in nl.elements() {
+        match e {
+            Element::Resistor { a, b, ohms, .. } => {
+                let (p, n) = (uidx(*a), uidx(*b));
+                quad(&mut put, [p, n, p, n], StaticKind::Const, 1.0 / ohms);
+            }
+            Element::Capacitor { a, b, farads, .. } => {
+                let (p, n) = (uidx(*a), uidx(*b));
+                quad(&mut put, [p, n, p, n], StaticKind::Cap, *farads);
+            }
+            Element::Vsource { p, n, .. } => {
+                let rb = branch;
+                branch += 1;
+                pair(&mut put, uidx(*p), rb, 1.0);
+                pair(&mut put, uidx(*n), rb, -1.0);
+            }
+            Element::Vcvs {
+                p, n, cp, cn, gain, ..
+            } => {
+                let rb = branch;
+                branch += 1;
+                pair(&mut put, uidx(*p), rb, 1.0);
+                pair(&mut put, uidx(*n), rb, -1.0);
+                put(rb, uidx(*cp), StaticKind::Const, -*gain);
+                put(rb, uidx(*cn), StaticKind::Const, *gain);
+            }
+            Element::Vccs {
+                p, n, cp, cn, gm, ..
+            } => {
+                let q = [uidx(*p), uidx(*n), uidx(*cp), uidx(*cn)];
+                quad(&mut put, q, StaticKind::Const, *gm);
+            }
+            Element::Isource { .. }
+            | Element::Diode { .. }
+            | Element::Mos { .. }
+            | Element::SclLoad { .. } => {}
+        }
+    }
+}
+
+/// Companion conductance of `farads` over one step of length `dt`.
+fn companion_g(method: Integrator, farads: f64, dt: f64) -> f64 {
+    match method {
+        Integrator::BackwardEuler => farads / dt,
+        Integrator::Trapezoidal => 2.0 * farads / dt,
+    }
 }
 
 /// One iterate-dependent stamp, replayed every [`MnaWorkspace::assemble`].
-/// Element parameters are copied at plan time; waveforms are looked up by
-/// element index so `set_source` edits are picked up without replanning.
+/// Element parameters are copied at plan time; a netlist edit (every
+/// `set_source` included) bumps the revision and so rebuilds the plan.
 #[derive(Debug, Clone, Copy)]
 enum DynOp {
     /// Independent voltage source RHS: `b[rb] = wave.at(time)`.
     SourceV { elem: u32, rb: u32 },
     /// Independent current source RHS.
     SourceI { elem: u32, p: u32, n: u32 },
-    /// Capacitor companion-model RHS (transient only; the `geq`
-    /// conductance itself is static for a fixed time step).
-    Cap { geq: f64, cap: u32, p: u32, n: u32 },
-    /// Diode companion model.
+    /// Capacitor companion-model RHS (transient only, skipped at DC;
+    /// the `geq` conductance itself is in the static program).
+    Cap {
+        farads: f64,
+        cap: u32,
+        p: u32,
+        n: u32,
+    },
+    /// Diode companion model; `vt` is `n_id·UT`.
     Diode {
         is_sat: f64,
-        n_id: f64,
+        vt: f64,
         p: u32,
         n: u32,
         q: Quad,
     },
-    /// EKV MOS companion model.
+    /// EKV MOS companion model; `params` indexes the plan's
+    /// [`MosParams`] table.
     Mos {
-        dev: Mosfet,
+        params: u32,
         d: u32,
         g: u32,
         s: u32,
@@ -244,14 +342,26 @@ enum DynOp {
     },
 }
 
-/// Prepared-statics cache key: the static stamp values depend on the
-/// assembly mode (capacitor `geq` bakes in `dt` and the integrator), the
-/// gmin rung, and the netlist edit revision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The stamp plan of one (netlist revision, technology): the
+/// slot-resolved static program, the dynamic ops and the MOS constants
+/// they index. Each vector is allocated once, at its final size, when
+/// the workspace is built.
+struct Plan {
+    statics: Vec<StaticEntry>,
+    ops: Vec<DynOp>,
+    mos: Vec<MosParams>,
+}
+
+/// What the plan and the static snapshot were built for. The plan
+/// depends on the netlist revision and the technology; the snapshot
+/// also on the assembly mode (capacitor `geq` bakes in `dt` and the
+/// integrator) and the gmin rung.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PrepKey {
     mode: ModeKey,
     gmin_bits: u64,
     revision: u64,
+    tech: Technology,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,9 +396,7 @@ impl ModeKey {
 }
 
 /// Device-latency bypass state for one nonlinear element (diode, MOS
-/// or STSCL load), indexed by nonlinear-element ordinal so it survives
-/// the dyn-op replans an adaptive transient triggers on every step-size
-/// change.
+/// or STSCL load), indexed by nonlinear-element ordinal.
 ///
 /// `v`/`g`/`i_eq` are the *committed* reference — the model inputs and
 /// companion stamps of the last accepted time step. `pend_*` hold the
@@ -406,13 +514,16 @@ impl<T: Field> Backend<T> {
 /// (netlist, analysis) and restamped in place every Newton iteration,
 /// sweep point and time step.
 ///
-/// Assembly is compiled once per (mode, gmin, netlist revision): the
-/// iterate-independent stamps become a static value snapshot over a
-/// fixed sparsity pattern, and everything else a list of slot-resolved
-/// dynamic ops. Each [`Self::assemble`] copies the snapshot and replays
-/// the ops, with no per-iteration allocation. Both backends share that
-/// assembly; they differ only in [`Self::factor`] / [`Self::solve_into`]
-/// (see [`SolverKind`]).
+/// Assembly is planned once per (netlist revision, technology): the
+/// iterate-independent stamps become a slot-resolved static program
+/// over a fixed sparsity pattern, everything else a list of
+/// slot-resolved dynamic ops, and each MOS device a set of
+/// bias-independent constants. A change of assembly mode or gmin (each
+/// step-size change of an adaptive transient, each gmin rung) replays
+/// the static program into a value snapshot. Each [`Self::assemble`]
+/// copies the snapshot and replays the ops, with no per-iteration
+/// allocation. Both backends share that assembly; they differ only in
+/// [`Self::factor`] / [`Self::solve_into`] (see [`SolverKind`]).
 ///
 /// # Example
 ///
@@ -436,14 +547,13 @@ impl<T: Field> Backend<T> {
 /// ```
 pub struct MnaWorkspace {
     dim: usize,
-    nn: usize,
     n_elements: usize,
     mat: SparseMatrix,
     rhs: Vec<f64>,
     /// Snapshot of all iterate-independent stamp values; each assemble
     /// starts from `copy_from_slice` of this instead of restamping them.
     static_vals: Vec<f64>,
-    dyn_ops: Vec<DynOp>,
+    plan: Plan,
     /// One slot per nonlinear element, in netlist order.
     bypass: Vec<BypassSlot>,
     prep: Option<PrepKey>,
@@ -476,24 +586,34 @@ impl MnaWorkspace {
         assert!(dim > 0, "netlist has no unknowns");
         let mat = SparseMatrix::from_pattern(dim, &matrix_coords(nl));
         let nnz = mat.nnz();
-        let n_nonlinear = nl
-            .elements()
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    Element::Diode { .. } | Element::Mos { .. } | Element::SclLoad { .. }
-                )
-            })
-            .count();
+        let mut n_static = 0;
+        static_stamps(nl, |_, _, _, _| n_static += 1);
+        let count = |f: fn(&Element) -> bool| nl.elements().iter().filter(|e| f(e)).count();
+        // Every element but R, E and G replays one dynamic op.
+        let n_ops = count(|e| {
+            !matches!(
+                e,
+                Element::Resistor { .. } | Element::Vcvs { .. } | Element::Vccs { .. }
+            )
+        });
+        let n_mos = count(|e| matches!(e, Element::Mos { .. }));
+        let n_nonlinear = count(|e| {
+            matches!(
+                e,
+                Element::Diode { .. } | Element::Mos { .. } | Element::SclLoad { .. }
+            )
+        });
         MnaWorkspace {
             dim,
-            nn: nl.node_count() - 1,
             n_elements: nl.elements().len(),
             mat,
             rhs: vec![0.0; dim],
             static_vals: vec![0.0; nnz],
-            dyn_ops: Vec::new(),
+            plan: Plan {
+                statics: Vec::with_capacity(n_static),
+                ops: Vec::with_capacity(n_ops),
+                mos: Vec::with_capacity(n_mos),
+            },
             bypass: vec![BypassSlot::default(); n_nonlinear],
             prep: None,
             force_symbolic: false,
@@ -610,27 +730,32 @@ impl MnaWorkspace {
             mode: ModeKey::of(&mode),
             gmin_bits: gmin.to_bits(),
             revision: nl.revision(),
+            tech: *tech,
         };
         if self.prep != Some(key) {
-            if let Some(prev) = self.prep {
-                if prev.mode.family() != key.mode.family() {
-                    self.force_symbolic = true;
+            let replan = match self.prep {
+                None => true,
+                Some(prev) => {
+                    if prev.mode.family() != key.mode.family() {
+                        self.force_symbolic = true;
+                    }
+                    prev.revision != key.revision || prev.tech != key.tech
                 }
-                // A netlist edit may have changed the device parameters
-                // baked into the cached stamps.
-                if prev.revision != key.revision {
-                    self.bypass.iter_mut().for_each(|b| *b = BypassSlot::default());
-                }
+            };
+            if replan {
+                // A netlist edit or a new card may have changed the
+                // device parameters baked into the cached stamps.
+                self.bypass.fill(BypassSlot::default());
+                self.plan(nl, tech);
             }
-            self.prepare(nl, &mode, gmin);
+            self.fill_static(&mode, gmin);
             self.prep = Some(key);
         }
         self.mat.values_mut().copy_from_slice(&self.static_vals);
         self.rhs.iter_mut().for_each(|v| *v = 0.0);
         apply_dyn(
-            &self.dyn_ops,
+            &self.plan,
             nl,
-            tech,
             x,
             &mode,
             self.mat.values_mut(),
@@ -702,56 +827,48 @@ impl MnaWorkspace {
         }
     }
 
-    /// Rebuilds the static stamp snapshot and the dynamic-op plan. Runs
-    /// once per (mode, gmin, revision) change — i.e. per ladder rung, per
-    /// sweep point, or once per whole transient — and reuses all
-    /// buffers.
-    fn prepare(&mut self, nl: &Netlist, mode: &AssembleMode<'_>, gmin: f64) {
+    /// Rebuilds the stamp plan in place. Runs once per (netlist
+    /// revision, technology) — once per whole transient, once per sweep
+    /// point — and reuses the plan's buffers.
+    fn plan(&mut self, nl: &Netlist, tech: &Technology) {
+        let Plan { statics, ops, mos } = &mut self.plan;
         let mat = &self.mat;
-        let vals = &mut self.static_vals;
-        let ops = &mut self.dyn_ops;
-        vals.iter_mut().for_each(|v| *v = 0.0);
+        statics.clear();
+        static_stamps(nl, |r, c, kind, v| {
+            let slot = mat
+                .slot(r as usize, c as usize)
+                .expect("static stamp missing from sparse pattern");
+            statics.push(StaticEntry {
+                v,
+                slot: slot as u32,
+                kind,
+            });
+        });
+
         ops.clear();
-
-        for i in 0..self.nn {
-            let sl = mat.slot(i, i).expect("gmin diagonal missing from pattern");
-            vals[sl] += gmin;
-        }
-
-        fn stat_pair(mat: &SparseMatrix, vals: &mut [f64], i: u32, rb: u32, v: f64) {
-            stat_add(mat, vals, i, rb, v);
-            stat_add(mat, vals, rb, i, v);
-        }
-
-        let mut branch = self.nn as u32;
+        mos.clear();
+        let ut = tech.thermal_voltage();
+        let mut branch = (nl.node_count() - 1) as u32;
         let mut cap = 0u32;
         for (ei, e) in nl.elements().iter().enumerate() {
             match e {
-                Element::Resistor { a, b, ohms, .. } => {
-                    let (p, n) = (uidx(*a), uidx(*b));
-                    Quad::resolve(mat, p, n, p, n).add(vals, 1.0 / ohms);
-                }
+                Element::Resistor { .. } | Element::Vccs { .. } => {}
+                Element::Vcvs { .. } => branch += 1,
                 Element::Capacitor { a, b, farads, .. } => {
-                    if let AssembleMode::Transient { dt, method, .. } = mode {
-                        let geq = match method {
-                            Integrator::BackwardEuler => farads / dt,
-                            Integrator::Trapezoidal => 2.0 * farads / dt,
-                        };
-                        let (p, n) = (uidx(*a), uidx(*b));
-                        Quad::resolve(mat, p, n, p, n).add(vals, geq);
-                        ops.push(DynOp::Cap { geq, cap, p, n });
-                    }
+                    ops.push(DynOp::Cap {
+                        farads: *farads,
+                        cap,
+                        p: uidx(*a),
+                        n: uidx(*b),
+                    });
                     cap += 1;
                 }
-                Element::Vsource { p, n, .. } => {
-                    let rb = branch;
-                    branch += 1;
-                    stat_pair(mat, vals, uidx(*p), rb, 1.0);
-                    stat_pair(mat, vals, uidx(*n), rb, -1.0);
+                Element::Vsource { .. } => {
                     ops.push(DynOp::SourceV {
                         elem: ei as u32,
-                        rb,
+                        rb: branch,
                     });
+                    branch += 1;
                 }
                 Element::Isource { p, n, .. } => {
                     ops.push(DynOp::SourceI {
@@ -760,28 +877,13 @@ impl MnaWorkspace {
                         n: uidx(*n),
                     });
                 }
-                Element::Vcvs {
-                    p, n, cp, cn, gain, ..
-                } => {
-                    let rb = branch;
-                    branch += 1;
-                    stat_pair(mat, vals, uidx(*p), rb, 1.0);
-                    stat_pair(mat, vals, uidx(*n), rb, -1.0);
-                    stat_add(mat, vals, rb, uidx(*cp), -*gain);
-                    stat_add(mat, vals, rb, uidx(*cn), *gain);
-                }
-                Element::Vccs {
-                    p, n, cp, cn, gm, ..
-                } => {
-                    Quad::resolve(mat, uidx(*p), uidx(*n), uidx(*cp), uidx(*cn)).add(vals, *gm);
-                }
                 Element::Diode {
                     p, n, is_sat, n_id, ..
                 } => {
                     let (pi, ni) = (uidx(*p), uidx(*n));
                     ops.push(DynOp::Diode {
                         is_sat: *is_sat,
-                        n_id: *n_id,
+                        vt: n_id * ut,
                         p: pi,
                         n: ni,
                         q: Quad::resolve(mat, pi, ni, pi, ni),
@@ -790,7 +892,7 @@ impl MnaWorkspace {
                 Element::Mos { d, g, s, b, dev, .. } => {
                     let (di, gi, si, bi) = (uidx(*d), uidx(*g), uidx(*s), uidx(*b));
                     ops.push(DynOp::Mos {
-                        dev: *dev,
+                        params: mos.len() as u32,
                         d: di,
                         g: gi,
                         s: si,
@@ -799,6 +901,7 @@ impl MnaWorkspace {
                         qs: Quad::resolve(mat, di, si, si, bi),
                         qd: Quad::resolve(mat, di, si, di, bi),
                     });
+                    mos.push(dev.params(tech));
                 }
                 Element::SclLoad { a, b, load, iss, .. } => {
                     let (pi, ni) = (uidx(*a), uidx(*b));
@@ -811,6 +914,25 @@ impl MnaWorkspace {
                     });
                 }
             }
+        }
+    }
+
+    /// Zeroes the static snapshot and replays the static program into
+    /// it for `mode` and `gmin`; capacitor entries are skipped at DC.
+    /// Runs once per (mode, gmin) change of a planned workspace.
+    fn fill_static(&mut self, mode: &AssembleMode<'_>, gmin: f64) {
+        let vals = &mut self.static_vals;
+        vals.fill(0.0);
+        for e in &self.plan.statics {
+            let v = match e.kind {
+                StaticKind::Const => e.v,
+                StaticKind::Gmin => gmin,
+                StaticKind::Cap => match mode {
+                    AssembleMode::Dc => continue,
+                    AssembleMode::Transient { dt, method, .. } => companion_g(*method, e.v, *dt),
+                },
+            };
+            vals[e.slot as usize] += v;
         }
     }
 }
@@ -894,9 +1016,8 @@ pub(crate) fn matrix_coords(nl: &Netlist) -> Vec<(u32, u32)> {
 /// entirely and the arithmetic is bit-identical to the pre-bypass path.
 #[allow(clippy::too_many_arguments)]
 fn apply_dyn(
-    ops: &[DynOp],
+    plan: &Plan,
     nl: &Netlist,
-    tech: &Technology,
     x: &[f64],
     mode: &AssembleMode<'_>,
     vals: &mut [f64],
@@ -910,7 +1031,7 @@ fn apply_dyn(
         AssembleMode::Transient { time, .. } => *time,
     };
     let mut nli = 0usize;
-    for op in ops {
+    for op in &plan.ops {
         match *op {
             DynOp::SourceV { elem, rb } => {
                 let Element::Vsource { wave, .. } = &nl.elements()[elem as usize] else {
@@ -924,16 +1045,18 @@ fn apply_dyn(
                 };
                 rhs_current(rhs, p, n, wave.at(time));
             }
-            DynOp::Cap { geq, cap, p, n } => {
+            DynOp::Cap { farads, cap, p, n } => {
                 let AssembleMode::Transient {
+                    dt,
                     prev,
                     cap_currents,
                     method,
                     ..
                 } = mode
                 else {
-                    unreachable!("capacitor companion op outside transient assembly");
+                    continue;
                 };
+                let geq = companion_g(*method, farads, *dt);
                 let v_prev = volt(prev, p) - volt(prev, n);
                 let i0 = match method {
                     Integrator::BackwardEuler => -geq * v_prev,
@@ -943,7 +1066,7 @@ fn apply_dyn(
             }
             DynOp::Diode {
                 is_sat,
-                n_id,
+                vt,
                 p,
                 n,
                 q,
@@ -957,7 +1080,6 @@ fn apply_dyn(
                     *bypassed += 1;
                     slot.fresh = false;
                 } else {
-                    let vt = n_id * tech.thermal_voltage();
                     let arg = (v / vt).min(40.0);
                     let ex = arg.exp();
                     let i = is_sat * (ex - 1.0);
@@ -973,7 +1095,7 @@ fn apply_dyn(
                 }
             }
             DynOp::Mos {
-                dev,
+                params,
                 d,
                 g,
                 s,
@@ -1001,10 +1123,11 @@ fn apply_dyn(
                     *bypassed += 1;
                     slot.fresh = false;
                 } else {
-                    let op = dev.operating_point(tech, vg, vs, vd);
-                    let i_dt = match dev.polarity {
-                        ulp_device::Polarity::Nmos => op.id,
-                        ulp_device::Polarity::Pmos => -op.id,
+                    let dev = &plan.mos[params as usize];
+                    let op = dev.operating_point(vg, vs, vd);
+                    let i_dt = match dev.polarity() {
+                        Polarity::Nmos => op.id,
+                        Polarity::Pmos => -op.id,
                     };
                     qg.add(vals, op.gm);
                     qs.add(vals, op.gms);
@@ -1079,13 +1202,11 @@ pub fn capacitor_currents_into(
         if let Element::Capacitor { a, b, farads, .. } = e {
             let v_new = voltage_of(x, *a) - voltage_of(x, *b);
             let v_old = voltage_of(prev, *a) - voltage_of(prev, *b);
-            let i = match method {
-                Integrator::BackwardEuler => farads / dt * (v_new - v_old),
-                Integrator::Trapezoidal => {
-                    2.0 * farads / dt * (v_new - v_old) - prev_currents[k]
-                }
-            };
-            out.push(i);
+            let i = companion_g(method, *farads, dt) * (v_new - v_old);
+            out.push(match method {
+                Integrator::BackwardEuler => i,
+                Integrator::Trapezoidal => i - prev_currents[k],
+            });
             k += 1;
         }
     }
@@ -1538,7 +1659,7 @@ mod tests {
     /// and the STSCL load — each with a terminal on ground, plus two
     /// capacitors so the trapezoidal history is indexed per capacitor.
     fn every_element_netlist() -> Netlist {
-        use ulp_device::Polarity;
+        use ulp_device::Mosfet;
         let mut nl = Netlist::new();
         let vdd = nl.node("vdd");
         let inp = nl.node("in");
@@ -1615,6 +1736,53 @@ mod tests {
                         assert_eq!(full, &got, "{ctx}: dense scatter");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn replayed_statics_match_a_fresh_workspace_bit_for_bit() {
+        // One workspace driven through every re-fill path — step-size,
+        // integrator, gmin and family changes — and a technology
+        // change, which must rebuild the plan. Each stage must assemble
+        // exactly the bits a fresh workspace assembles in that mode:
+        // `mid`'s diagonal sums gmin, R1 and C1, so a change in the
+        // summation order would show.
+        let nl = every_element_netlist();
+        let dim = nl.unknown_count();
+        let x: Vec<f64> = (0..dim).map(|i| 0.05 + 0.11 * i as f64).collect();
+        let prev: Vec<f64> = (0..dim).map(|i| 0.3 - 0.07 * i as f64).collect();
+        let cap_i = [2e-10, -4e-10];
+        let tran = |method, dt| AssembleMode::Transient {
+            time: 3e-7,
+            dt,
+            prev: &prev,
+            cap_currents: &cap_i,
+            method,
+        };
+        let (trap, be) = (Integrator::Trapezoidal, Integrator::BackwardEuler);
+        let (dt1, dt2) = (1e-8, 3.7e-9);
+        let nominal = Technology::default();
+        let hot = nominal.at_temperature(400.0);
+        let stages = [
+            (AssembleMode::Dc, 1e-12, nominal),
+            (tran(trap, dt1), 1e-12, nominal),
+            (tran(trap, dt2), 1e-12, nominal),
+            (tran(be, dt1), 1e-12, nominal),
+            (AssembleMode::Dc, 1e-5, nominal),
+            (AssembleMode::Dc, 1e-12, nominal),
+            (tran(trap, dt1), 1e-12, hot),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for solver in [SolverKind::Dense, SolverKind::Sparse] {
+            let mut ws = MnaWorkspace::new(&nl, solver);
+            for (k, (mode, gmin, tech)) in stages.iter().enumerate() {
+                ws.assemble(&nl, tech, &x, *mode, *gmin);
+                let mut fresh = MnaWorkspace::new(&nl, solver);
+                fresh.assemble(&nl, tech, &x, *mode, *gmin);
+                let ctx = format!("{solver:?} stage {k} ({mode:?}, gmin {gmin:e})");
+                assert_eq!(bits(ws.mat.values()), bits(fresh.mat.values()), "{ctx}: A");
+                assert_eq!(bits(&ws.rhs), bits(&fresh.rhs), "{ctx}: b");
             }
         }
     }

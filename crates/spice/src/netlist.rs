@@ -348,9 +348,9 @@ impl Netlist {
     }
 
     /// Current edit revision — bumped on every structural or parameter
-    /// mutation. [`crate::mna::MnaWorkspace`] keys its prepared static
-    /// stamps on this, so `set_source` in a sweep invalidates exactly the
-    /// cached values and nothing else.
+    /// mutation. [`crate::mna::MnaWorkspace`] keys its stamp plan on
+    /// this, so `set_source` in a sweep rebuilds the plan but keeps the
+    /// sparsity pattern and the symbolic factorization.
     pub(crate) fn revision(&self) -> u64 {
         self.revision
     }

@@ -175,11 +175,13 @@ pub fn noise_analysis_traced(
     let dim = nl.unknown_count();
     let out_idx = output.index() - 1;
     // The small-signal matrix and the (ignored) AC source vector of the
-    // shared stamper, reused across frequencies. The matrix is factored
-    // on the dense backend, whose pivot order the published noise
-    // figures were computed with.
+    // shared stamper, reused across frequencies, and the unit-injection
+    // RHS, reused across sources. The matrix is factored on the dense
+    // backend, whose pivot order the published noise figures were
+    // computed with.
     let mut m = SparseMatrix::from_pattern(dim, &matrix_coords(nl));
     let mut ac_rhs = vec![Complex::ZERO; dim];
+    let mut rhs = vec![Complex::ZERO; dim];
     let mut backend = Backend::new(SolverKind::Dense, dim);
     let mut x = Vec::with_capacity(dim);
     let mut output_psd = Vec::with_capacity(freqs.len());
@@ -193,7 +195,7 @@ pub fn noise_analysis_traced(
         backend.factor(&m, false)?;
         let mut total = 0.0;
         for (k, src) in sources.iter().enumerate() {
-            let mut rhs = vec![Complex::ZERO; dim];
+            rhs.fill(Complex::ZERO);
             // Unit noise current drawn from p, injected into n.
             if !src.p.is_ground() {
                 rhs[src.p.index() - 1] -= Complex::ONE;

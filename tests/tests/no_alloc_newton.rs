@@ -8,7 +8,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use ulp_bench::netlists::builder_netlists;
 use ulp_device::Technology;
 use ulp_spice::dcop::{DcOperatingPoint, NewtonOptions};
-use ulp_spice::mna::{AssembleMode, MnaWorkspace, SolverKind};
+use ulp_spice::mna::{AssembleMode, Integrator, MnaWorkspace, SolverKind};
+use ulp_spice::netlist::Element;
 
 struct CountingAlloc;
 
@@ -112,4 +113,37 @@ fn warm_sparse_workspace_loop_does_not_allocate() {
         loose, tight,
         "allocation count depends on iteration count (loose {loose}, tight {tight})"
     );
+
+    // Part 3: a step-size change replays the static program into the
+    // value snapshot without allocating. The adaptive controller changes
+    // dt on nearly every accepted step, so dt alternates on every
+    // assemble here.
+    let n_caps = nl
+        .elements()
+        .iter()
+        .filter(|e| matches!(e, Element::Capacitor { .. }))
+        .count();
+    assert!(n_caps > 0, "the transient part needs capacitor stamps");
+    let caps = vec![0.0; n_caps];
+    let tran = |dt: f64| AssembleMode::Transient {
+        time: 1e-6,
+        dt,
+        prev: &x,
+        cap_currents: &caps,
+        method: Integrator::Trapezoidal,
+    };
+    let step = |ws: &mut MnaWorkspace, dt: f64, out: &mut Vec<f64>| {
+        ws.assemble(nl, &tech, &x, tran(dt), 1e-12);
+        ws.factor().expect("factor");
+        ws.solve_into(out).expect("solve");
+    };
+    for dt in [1e-9, 1.3e-9, 1e-9] {
+        step(&mut ws, dt, &mut out);
+    }
+    let grew = alloc_count(|| {
+        for k in 0..256 {
+            step(&mut ws, if k % 2 == 0 { 1e-9 } else { 1.3e-9 }, &mut out);
+        }
+    });
+    assert_eq!(grew, 0, "step-size changes allocated {grew} times");
 }
