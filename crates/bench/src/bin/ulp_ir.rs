@@ -27,63 +27,18 @@
 //! SARIF file with the crate's own JSON reader.
 
 use std::path::{Path, PathBuf};
+use ulp_bench::damped_newton;
 use ulp_device::Technology;
 use ulp_exec::Ensemble;
 use ulp_ir::{flatten, parse, Design, SweepError, SweepPlan};
-use ulp_spice::dcop::{DcOperatingPoint, NewtonOptions};
-use ulp_spice::lint::{self, LintConfig, LintContext};
-use ulp_spice::netlist::Element;
+use ulp_spice::dcop::DcOperatingPoint;
+use ulp_spice::lint::{self, LintConfig};
 use ulp_spice::{absint, json, sarif, ErcReport, Netlist, Severity};
 
-/// A timestep resolving the fastest RC by 10 points per τ (mirrors
-/// `ulp_lint`), so the `rc-time-step` rule is exercised and clean.
-fn conservative_dt(nl: &Netlist) -> Option<f64> {
-    let mut r_min = f64::INFINITY;
-    let mut c_min = f64::INFINITY;
-    for e in nl.elements() {
-        match e {
-            Element::Resistor { ohms, .. } => r_min = r_min.min(*ohms),
-            Element::SclLoad { load, iss, .. } => r_min = r_min.min(load.resistance(*iss)),
-            Element::Capacitor { farads, .. } => c_min = c_min.min(*farads),
-            _ => {}
-        }
-    }
-    (r_min.is_finite() && c_min.is_finite()).then(|| r_min * c_min / 10.0)
-}
-
-/// The conservative damping the nA-class drivers use everywhere else.
-fn damped() -> NewtonOptions {
-    NewtonOptions {
-        max_iter: 800,
-        max_step: 0.05,
-        ..NewtonOptions::default()
-    }
-}
-
-/// Static lint + DC audit + interval certification, merged.
+/// Static lint + DC audit ([`ulp_bench::lint_and_audit`]) + interval
+/// certification, merged.
 fn analyze(nl: &Netlist, tech: &Technology, config: &LintConfig) -> ErcReport {
-    let mut cx = LintContext::with_tech(nl, tech);
-    if let Some(dt) = conservative_dt(nl) {
-        cx = cx.with_dt(dt);
-    }
-    let mut merged = lint::run_ctx(&cx, config);
-    match DcOperatingPoint::solve_with(nl, tech, &damped()) {
-        Ok(op) => {
-            for d in lint::audit(nl, tech, &op, config).diagnostics() {
-                merged.push(d.clone());
-            }
-        }
-        Err(err) => {
-            merged.push(
-                ulp_spice::Diagnostic::new(
-                    Severity::Error,
-                    lint::rule::NEAR_SINGULAR,
-                    format!("DC operating point failed to solve: {err}"),
-                )
-                .with_hint("fix convergence before trusting any other result"),
-            );
-        }
-    }
+    let mut merged = ulp_bench::lint_and_audit(nl, tech, config);
     match absint::certify(nl, tech, &absint::CertifyOptions::default()) {
         Ok(cert) => {
             for d in cert.report(config).diagnostics() {
@@ -115,7 +70,7 @@ fn run_sweep(design: &Design, name: &str) -> Result<(usize, u64, String), SweepE
         .run_with_report(move |ctx: &mut ulp_exec::TrialCtx| {
             let point = shared.point(ctx.index());
             let tech = point.tech.technology();
-            let op = DcOperatingPoint::solve_with(&point.netlist, &tech, &damped())
+            let op = DcOperatingPoint::solve_with(&point.netlist, &tech, &damped_newton())
                 .unwrap_or_else(|e| panic!("{}: {e}", point.label()));
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
             for v in op.solution() {

@@ -3,7 +3,8 @@
 //!
 //! For each shipped builder circuit — the STSCL buffer across the
 //! paper's bias range, the replica-biased buffer, and the ADC front-end
-//! pre-amplifier in both well configurations — this runs:
+//! pre-amplifier in both well configurations — this runs
+//! [`ulp_bench::lint_and_audit`]:
 //!
 //! 1. the full static lint ([`ulp_spice::lint::run_ctx`]): topology ERC
 //!    plus the EKV electrical rules (weak inversion, swing
@@ -22,64 +23,8 @@
 use std::path::Path;
 use ulp_bench::netlists::builder_netlists;
 use ulp_device::Technology;
-use ulp_spice::dcop::{DcOperatingPoint, NewtonOptions};
-use ulp_spice::lint::{self, LintConfig, LintContext};
-use ulp_spice::netlist::Element;
-use ulp_spice::{json, sarif, ErcReport, Netlist, Severity};
-
-/// A timestep resolving the fastest RC in `nl` by a comfortable margin
-/// (10 points per τ), mirroring the lint's own r/c scan so the
-/// `rc-time-step` rule is exercised — and clean — on every netlist.
-fn conservative_dt(nl: &Netlist) -> Option<f64> {
-    let mut r_min = f64::INFINITY;
-    let mut c_min = f64::INFINITY;
-    for e in nl.elements() {
-        match e {
-            Element::Resistor { ohms, .. } => r_min = r_min.min(*ohms),
-            Element::SclLoad { load, iss, .. } => r_min = r_min.min(load.resistance(*iss)),
-            Element::Capacitor { farads, .. } => c_min = c_min.min(*farads),
-            _ => {}
-        }
-    }
-    (r_min.is_finite() && c_min.is_finite()).then(|| r_min * c_min / 10.0)
-}
-
-/// Static lint + DC solve + post-solve audit, merged into one report.
-fn lint_netlist(nl: &Netlist, tech: &Technology, config: &LintConfig) -> ErcReport {
-    let mut cx = LintContext::with_tech(nl, tech);
-    if let Some(dt) = conservative_dt(nl) {
-        cx = cx.with_dt(dt);
-    }
-    let mut merged = lint::run_ctx(&cx, config);
-    // The replica netlists mirror nA-class currents through long-channel
-    // devices; use the same conservative damping their drivers do.
-    let opts = NewtonOptions {
-        max_iter: 800,
-        max_step: 0.05,
-        ..NewtonOptions::default()
-    };
-    match DcOperatingPoint::solve_with(nl, tech, &opts) {
-        Ok(op) => {
-            for d in lint::audit(nl, tech, &op, config).diagnostics() {
-                merged.push(d.clone());
-            }
-        }
-        Err(err) => {
-            // A netlist that fails to solve cannot be audited; surface
-            // that as a finding rather than dying mid-run.
-            merged.push(
-                ulp_spice::Diagnostic::new(
-                    Severity::Error,
-                    lint::rule::NEAR_SINGULAR,
-                    format!("DC operating point failed to solve: {err}"),
-                )
-                .with_hint("fix convergence before trusting any other result"),
-            );
-        }
-    }
-    merged.sort();
-    merged
-}
+use ulp_spice::lint::LintConfig;
+use ulp_spice::{json, sarif, Severity};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -106,7 +51,7 @@ fn main() {
 
     let mut failed = false;
     for (name, nl) in builder_netlists(&tech) {
-        let report = lint_netlist(&nl, &tech, &config);
+        let report = ulp_bench::lint_and_audit(&nl, &tech, &config);
         let errors = report.count(Severity::Error);
         let warnings = report.count(Severity::Warning);
         let sarif_text = sarif::to_sarif(&report, &format!("netlists/{name}"));

@@ -8,6 +8,10 @@
 
 use std::fmt::Display;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use ulp_device::Technology;
+use ulp_spice::dcop::{DcOperatingPoint, NewtonOptions};
+use ulp_spice::lint::{self, LintConfig, LintContext};
+use ulp_spice::{Diagnostic, ErcReport, Netlist, Severity};
 
 pub mod netlists;
 
@@ -162,6 +166,47 @@ pub fn metrics_footer(id: &str) {
             );
         }
     }
+}
+
+/// The damped Newton settings of the nA-class drivers: the replica
+/// netlists mirror nA-class currents through long-channel devices.
+pub fn damped_newton() -> NewtonOptions {
+    NewtonOptions {
+        max_iter: 800,
+        max_step: 0.05,
+        ..NewtonOptions::default()
+    }
+}
+
+/// The static half of the `ulp_lint` and `ulp_ir` pipelines, merged into
+/// one sorted report: the full static lint at a step resolving the
+/// fastest RC by 10 points per τ (so the `rc-time-step` rule runs, and
+/// is clean), a [`damped_newton`] DC solve, and the post-solve audit. A
+/// netlist that fails to solve cannot be audited; that surfaces as an
+/// error finding rather than ending the run.
+pub fn lint_and_audit(nl: &Netlist, tech: &Technology, config: &LintConfig) -> ErcReport {
+    let mut cx = LintContext::with_tech(nl, tech);
+    if let Some(tau) = lint::fastest_rc(nl) {
+        cx = cx.with_dt(tau / 10.0);
+    }
+    let mut merged = lint::run_ctx(&cx, config);
+    match DcOperatingPoint::solve_with(nl, tech, &damped_newton()) {
+        Ok(op) => {
+            for d in lint::audit(nl, tech, &op, config).diagnostics() {
+                merged.push(d.clone());
+            }
+        }
+        Err(err) => merged.push(
+            Diagnostic::new(
+                Severity::Error,
+                lint::rule::NEAR_SINGULAR,
+                format!("DC operating point failed to solve: {err}"),
+            )
+            .with_hint("fix convergence before trusting any other result"),
+        ),
+    }
+    merged.sort();
+    merged
 }
 
 /// Formats an SI-engineering value for compact tables.

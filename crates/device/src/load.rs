@@ -23,6 +23,11 @@ use crate::Mosfet;
 /// compression of the bulk-drain-shorted PMOS in ref \[9\].
 const ALPHA: f64 = 1.2;
 
+/// `tanh(ALPHA)`, the normaliser that puts `I(VSW) = ISS`, as a literal
+/// so no evaluation calls `tanh` on a constant (pinned bit for bit to
+/// `ALPHA.tanh()` by a unit test).
+const TANH_ALPHA: f64 = 0.833_654_607_012_155_2;
+
 /// A replica-biased bulk-drain-shorted PMOS load.
 ///
 /// # Example
@@ -68,18 +73,18 @@ impl PmosLoad {
     /// Odd-symmetric and monotone in `v`; equals `iss` exactly at
     /// `v = vsw`.
     pub fn current(&self, v: f64, iss: f64) -> f64 {
-        iss * (ALPHA * v / self.vsw).tanh() / ALPHA.tanh()
+        iss * (ALPHA * v / self.vsw).tanh() / TANH_ALPHA
     }
 
     /// Small-signal conductance `dI/dV` at drop `v`, S.
     pub fn conductance(&self, v: f64, iss: f64) -> f64 {
         let x = ALPHA * v / self.vsw;
         let sech2 = 1.0 - x.tanh() * x.tanh();
-        iss * ALPHA / (self.vsw * ALPHA.tanh()) * sech2
+        iss * ALPHA / (self.vsw * TANH_ALPHA) * sech2
     }
 
     /// Fused [`Self::current`] + [`Self::conductance`], sharing one
-    /// `tanh` evaluation pair instead of four.
+    /// `tanh` evaluation instead of three.
     ///
     /// Returns `(i, g)` bit-identical to the two scalar entry points —
     /// the per-iteration restamping path of the MNA workspace calls
@@ -88,9 +93,8 @@ impl PmosLoad {
     pub fn eval(&self, v: f64, iss: f64) -> (f64, f64) {
         let x = ALPHA * v / self.vsw;
         let t = x.tanh();
-        let tt = ALPHA.tanh();
-        let i = iss * t / tt;
-        let g = iss * ALPHA / (self.vsw * tt) * (1.0 - t * t);
+        let i = iss * t / TANH_ALPHA;
+        let g = iss * ALPHA / (self.vsw * TANH_ALPHA) * (1.0 - t * t);
         (i, g)
     }
 
@@ -133,6 +137,11 @@ mod tests {
                 assert_eq!(g.to_bits(), load.conductance(v, iss).to_bits());
             }
         }
+    }
+
+    #[test]
+    fn tanh_alpha_literal_is_bit_exact() {
+        assert_eq!(TANH_ALPHA.to_bits(), ALPHA.tanh().to_bits());
     }
 
     #[test]

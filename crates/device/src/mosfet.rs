@@ -240,7 +240,8 @@ impl Mosfet {
         m
     }
 
-    pub(crate) fn model<'a>(&self, tech: &'a Technology) -> &'a MosModel {
+    /// The model card of this device's polarity in `tech`.
+    pub fn model<'a>(&self, tech: &'a Technology) -> &'a MosModel {
         match self.polarity {
             Polarity::Nmos => &tech.nmos,
             Polarity::Pmos => &tech.pmos,

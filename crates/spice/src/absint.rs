@@ -22,11 +22,14 @@
 //! * [`rule::UNPROVEN`] — neither proof went through: the box is too
 //!   wide. Never an error; absence of proof is not a defect.
 //!
-//! The five PR-3 electrical lints additionally gain *sound box
-//! variants* (`*-box` rules): each fires when its bound may be
-//! violated **somewhere** in the box. Because the point value always
+//! The five electrical lints of [`crate::lint`] additionally gain
+//! *sound box variants* (`*-box` rules): each fires when its bound may
+//! be violated **somewhere** in the box. Because the point value always
 //! lies inside the interval, a box variant can only be *more*
-//! conservative than its point counterpart, never less.
+//! conservative than its point counterpart, never less. Both read the
+//! lint module's STSCL patterns, and each rule's interval is computed
+//! once: its best end decides `proved-infeasible`, its worst end the
+//! `*-box` finding.
 //!
 //! # Abstract domain and fixpoint
 //!
@@ -98,12 +101,12 @@
 
 use crate::diag::{Diagnostic, ErcReport, Severity};
 use crate::lint::{
-    self, rule, LintConfig, IC_WEAK_MAX, MIN_POINTS_PER_TAU, SIGMA_MARGIN, STEERING_NUT,
+    self, rule, LintConfig, Resistive, IC_WEAK_MAX, MIN_POINTS_PER_TAU, SIGMA_MARGIN,
+    STEERING_NUT,
 };
 use crate::netlist::{Element, Netlist, Node};
 use crate::SimError;
 use ulp_device::envelope::PvtBox;
-use ulp_device::mismatch::MismatchRng;
 use ulp_device::pvt::Corner;
 use ulp_device::{Polarity, Technology};
 use ulp_num::interval::{gershgorin_nonsingular, prove_regular};
@@ -256,7 +259,8 @@ impl Certified {
 
 /// Certifies a netlist over the PVT/mismatch box: runs the enclosure
 /// fixpoint and the nonsingularity proof chain at every corner, then
-/// the feasibility and box-variant checks.
+/// the interval pass over the electrical rules (infeasibility proofs
+/// and box variants).
 ///
 /// Structurally broken netlists cannot be meaningfully certified, so
 /// this gates on [`crate::erc::gate`] first (`Err(SimError::Erc)`), and
@@ -356,27 +360,13 @@ pub fn certify(
 
     let mut diagnostics = Vec::new();
     push_verdict(&verdict, opts, &mut diagnostics);
-    check_feasibility(nl, tech, opts, &mut diagnostics);
-    check_box_lints(nl, tech, opts, &mut diagnostics);
+    check_rules(nl, tech, opts, &mut diagnostics);
 
     Ok(Certified {
         verdict,
         solution,
         diagnostics,
     })
-}
-
-/// [`certify`] rendered through the lint pipeline: the raw certificate
-/// findings mapped through `config` (level overrides, deterministic
-/// ordering) exactly like any other lint group, ready for
-/// [`crate::sarif::to_sarif`].
-pub fn certify_lint(
-    nl: &Netlist,
-    tech: &Technology,
-    config: &LintConfig,
-    opts: &CertifyOptions,
-) -> Result<ErcReport, SimError> {
-    Ok(certify(nl, tech, opts)?.report(config))
 }
 
 /// Sign class of one symbolic Jacobian contribution.
@@ -1483,144 +1473,26 @@ fn push_verdict(verdict: &Verdict, opts: &CertifyOptions, out: &mut Vec<Diagnost
     }
 }
 
-/// Headroom/swing feasibility over the whole box: `proved-infeasible`
-/// fires only when the spec fails on *every* die.
-fn check_feasibility(
-    nl: &Netlist,
-    tech: &Technology,
-    opts: &CertifyOptions,
-    out: &mut Vec<Diagnostic>,
-) {
-    for e in nl.elements() {
-        let Element::SclLoad {
-            name, a, b, load, iss,
-        } = e
-        else {
-            continue;
-        };
-        // Supply headroom, mirroring the point lint's pattern match.
-        let supply = nl.elements().iter().find_map(|s| match s {
-            Element::Vsource { name, p, n, wave, .. } if p == a && n.is_ground() => {
-                Some((name.clone(), wave.dc()))
-            }
-            _ => None,
-        });
-        let pair = nl.elements().iter().find_map(|m| match m {
-            Element::Mos { name, d, dev, .. } if d == b => Some((name.clone(), *dev)),
-            _ => None,
-        });
-        if let (Some((vname, vdd)), Some((mname, dev))) = (supply, pair) {
-            let mut need: Option<Interval> = None;
-            for corner in Corner::all() {
-                let tc = tech.at_corner(corner);
-                let iv = dev.min_supply_iv(&tc, &opts.pvt, *iss, load.vsw);
-                need = Some(match need {
-                    Some(prev) => prev.hull(iv),
-                    None => iv,
-                });
-            }
-            let need = need.expect("corners are non-empty");
-            if vdd < need.lo() {
-                out.push(
-                    Diagnostic::new(
-                        Severity::Warning,
-                        rule::PROVED_INFEASIBLE,
-                        format!(
-                            "supply `{vname}` = {vdd:.2} V is below the proven \
-                             minimum [{:.2}, {:.2}] V the STSCL stack under \
-                             `{name}` needs over {} — infeasible on every die",
-                            need.lo(),
-                            need.hi(),
-                            box_label(opts)
-                        ),
-                    )
-                    .with_nodes([nl.node_name(*a).to_string()])
-                    .with_elements([name.clone(), mname, vname])
-                    .with_hint(
-                        "a DSE may prune this point without simulation; raise \
-                         VDD or cut ISS/VSW to re-enter the feasible region",
-                    ),
-                );
-            }
-        }
-        // Swing steering, mirroring the point lint's pattern match.
-        for drv in nl.elements() {
-            let Element::Mos {
-                name: dname,
-                g,
-                dev,
-                ..
-            } = drv
-            else {
-                continue;
-            };
-            if g != b {
-                continue;
-            }
-            let n_slope = match dev.polarity {
-                Polarity::Nmos => tech.nmos.n,
-                Polarity::Pmos => tech.pmos.n,
-            };
-            let required = opts
-                .pvt
-                .thermal_voltage_iv()
-                .scale(STEERING_NUT * n_slope);
-            if load.vsw < required.lo() {
-                out.push(
-                    Diagnostic::new(
-                        Severity::Warning,
-                        rule::PROVED_INFEASIBLE,
-                        format!(
-                            "load `{name}` swings {:.0} mV on node `{}` but the \
-                             driven pair device `{dname}` needs at least \
-                             {:.0} mV at every temperature in {} — infeasible \
-                             on every die",
-                            load.vsw * 1e3,
-                            nl.node_name(*b),
-                            required.lo() * 1e3,
-                            box_label(opts)
-                        ),
-                    )
-                    .with_nodes([nl.node_name(*b).to_string()])
-                    .with_elements([name.clone(), dname.clone()])
-                    .with_hint(
-                        "a DSE may prune this point without simulation; raise \
-                         RL\u{b7}ISS to restore complete steering",
-                    ),
-                );
-            }
-        }
-    }
+/// Hull of a per-card interval over every process corner of `tech`.
+fn corner_hull(tech: &Technology, f: impl Fn(&Technology) -> Interval) -> Interval {
+    let mut ivs = Corner::all().into_iter().map(|c| f(&tech.at_corner(c)));
+    let first = ivs.next().expect("corners are non-empty");
+    ivs.fold(first, Interval::hull)
 }
 
-/// Sound box variants of the five PR-3 electrical lints: each fires
-/// when its bound may be violated *somewhere* in the box. The point
-/// value lies inside every interval used here, so a box variant fires
-/// whenever its point counterpart does — never less conservative.
-fn check_box_lints(
-    nl: &Netlist,
-    tech: &Technology,
-    opts: &CertifyOptions,
-    out: &mut Vec<Diagnostic>,
-) {
-    let elems = nl.elements();
+/// The interval side of the five electrical rules, in one pass over the
+/// [`crate::lint`] patterns. Each rule's spec quantity is computed once
+/// as an interval over the box: a spec failing even at the interval's
+/// best end fails on every die ([`rule::PROVED_INFEASIBLE`], for the
+/// headroom and swing specs); one failing at its worst end may fail
+/// somewhere in the box (the rule's `*-box` finding). The point value
+/// lies inside every interval, so a box finding fires whenever its
+/// point lint does — never less conservative.
+fn check_rules(nl: &Netlist, tech: &Technology, opts: &CertifyOptions, out: &mut Vec<Diagnostic>) {
+    let pvt = &opts.pvt;
     // weak-inversion-box -----------------------------------------------
-    for e in elems {
-        let Element::Mos { name, d, s, dev, .. } = e else {
-            continue;
-        };
-        let Some(bias) = lint::inferred_bias(nl, *d, *s) else {
-            continue;
-        };
-        let mut ic: Option<Interval> = None;
-        for corner in Corner::all() {
-            let iv = dev.inversion_coefficient_iv(&tech.at_corner(corner), &opts.pvt, bias);
-            ic = Some(match ic {
-                Some(prev) => prev.hull(iv),
-                None => iv,
-            });
-        }
-        let ic = ic.expect("corners are non-empty");
+    for (name, dev, bias) in lint::biased_devices(nl) {
+        let ic = corner_hull(tech, |tc| dev.inversion_coefficient_iv(tc, pvt, bias));
         if ic.hi() > IC_WEAK_MAX {
             out.push(
                 Diagnostic::new(
@@ -1634,7 +1506,7 @@ fn check_box_lints(
                         box_label(opts)
                     ),
                 )
-                .with_elements([name.clone()])
+                .with_elements([name.to_string()])
                 .with_hint(
                     "widen W/L or reduce the bias so the whole box stays in \
                      weak inversion",
@@ -1642,212 +1514,158 @@ fn check_box_lints(
             );
         }
     }
-    // swing-compatibility-box / vdd-headroom-box ------------------------
-    for e in elems {
-        let Element::SclLoad {
-            name, a, b, load, iss,
-        } = e
-        else {
-            continue;
+    // swing steering: proved-infeasible / swing-compatibility-box -------
+    for (load, gate, dev) in lint::steered_gates(nl) {
+        let required = pvt
+            .thermal_voltage_iv()
+            .scale(STEERING_NUT * dev.model(tech).n);
+        let node = nl.node_name(load.b);
+        let finding = |rule, message: String, hint| {
+            Diagnostic::new(Severity::Warning, rule, message)
+                .with_nodes([node.to_string()])
+                .with_elements([load.name.to_string(), gate.to_string()])
+                .with_hint(hint)
         };
-        for drv in elems {
-            let Element::Mos {
-                name: dname,
-                g,
-                dev,
-                ..
-            } = drv
-            else {
-                continue;
-            };
-            if g != b {
-                continue;
-            }
-            let n_slope = match dev.polarity {
-                Polarity::Nmos => tech.nmos.n,
-                Polarity::Pmos => tech.pmos.n,
-            };
-            let required = opts
-                .pvt
-                .thermal_voltage_iv()
-                .scale(STEERING_NUT * n_slope);
-            if load.vsw < required.hi() {
-                out.push(
-                    Diagnostic::new(
-                        Severity::Warning,
-                        rule::SWING_COMPATIBILITY_BOX,
-                        format!(
-                            "load `{name}` swings {:.0} mV on node `{}` but the \
-                             driven pair device `{dname}` may need up to {:.0} mV \
-                             to steer somewhere in {}",
-                            load.vsw * 1e3,
-                            nl.node_name(*b),
-                            required.hi() * 1e3,
-                            box_label(opts)
-                        ),
-                    )
-                    .with_nodes([nl.node_name(*b).to_string()])
-                    .with_elements([name.clone(), dname.clone()])
-                    .with_hint("raise RL\u{b7}ISS to cover the hot end of the box"),
-                );
-            }
+        if load.vsw < required.lo() {
+            out.push(finding(
+                rule::PROVED_INFEASIBLE,
+                format!(
+                    "load `{}` swings {:.0} mV on node `{node}` but the \
+                     driven pair device `{gate}` needs at least \
+                     {:.0} mV at every temperature in {} — infeasible \
+                     on every die",
+                    load.name,
+                    load.vsw * 1e3,
+                    required.lo() * 1e3,
+                    box_label(opts)
+                ),
+                "a DSE may prune this point without simulation; raise \
+                 RL\u{b7}ISS to restore complete steering",
+            ));
         }
-        let supply = elems.iter().find_map(|s| match s {
-            Element::Vsource { name, p, n, wave, .. } if p == a && n.is_ground() => {
-                Some((name.clone(), wave.dc()))
-            }
-            _ => None,
-        });
-        let pair = elems.iter().find_map(|m| match m {
-            Element::Mos { name, d, dev, .. } if d == b => Some((name.clone(), *dev)),
-            _ => None,
-        });
-        if let (Some((vname, vdd)), Some((mname, dev))) = (supply, pair) {
-            let mut need: Option<Interval> = None;
-            for corner in Corner::all() {
-                let iv = dev.min_supply_iv(&tech.at_corner(corner), &opts.pvt, *iss, load.vsw);
-                need = Some(match need {
-                    Some(prev) => prev.hull(iv),
-                    None => iv,
-                });
-            }
-            let need = need.expect("corners are non-empty");
-            if vdd < need.hi() {
-                out.push(
-                    Diagnostic::new(
-                        Severity::Warning,
-                        rule::VDD_HEADROOM_BOX,
-                        format!(
-                            "supply `{vname}` = {vdd:.2} V may fall below the \
-                             {:.2} V the STSCL stack under `{name}` needs \
-                             somewhere in {}",
-                            need.hi(),
-                            box_label(opts)
-                        ),
-                    )
-                    .with_nodes([nl.node_name(*a).to_string()])
-                    .with_elements([name.clone(), mname, vname])
-                    .with_hint("raise VDD or cut ISS/VSW to cover the whole box"),
-                );
-            }
+        if load.vsw < required.hi() {
+            out.push(finding(
+                rule::SWING_COMPATIBILITY_BOX,
+                format!(
+                    "load `{}` swings {:.0} mV on node `{node}` but the \
+                     driven pair device `{gate}` may need up to {:.0} mV \
+                     to steer somewhere in {}",
+                    load.name,
+                    load.vsw * 1e3,
+                    required.hi() * 1e3,
+                    box_label(opts)
+                ),
+                "raise RL\u{b7}ISS to cover the hot end of the box",
+            ));
         }
     }
-    // mismatch-budget-box ----------------------------------------------
-    let load_vsw = |node: Node| {
-        elems.iter().find_map(|e| match e {
-            Element::SclLoad { b, load, .. } if *b == node => Some(load.vsw),
-            _ => None,
-        })
-    };
-    for (i, ei) in elems.iter().enumerate() {
-        let Element::Mos {
-            name: n1,
-            d: d1,
-            s: s1,
-            dev: m1,
-            ..
-        } = ei
-        else {
-            continue;
+    // supply headroom: proved-infeasible / vdd-headroom-box --------------
+    for st in lint::stacks(nl) {
+        let need = corner_hull(tech, |tc| {
+            st.dev.min_supply_iv(tc, pvt, st.load.iss, st.load.vsw)
+        });
+        let (supply, vdd, name) = (st.supply, st.vdd, st.load.name);
+        let finding = |rule, message: String, hint| {
+            Diagnostic::new(Severity::Warning, rule, message)
+                .with_nodes([nl.node_name(st.load.a).to_string()])
+                .with_elements([name.to_string(), st.switch.to_string(), supply.to_string()])
+                .with_hint(hint)
         };
-        for ej in &elems[i + 1..] {
-            let Element::Mos {
-                name: n2,
-                d: d2,
-                s: s2,
-                dev: m2,
-                ..
-            } = ej
-            else {
-                continue;
-            };
-            let matched = m1.polarity == m2.polarity
-                && m1.w == m2.w
-                && m1.l == m2.l
-                && s1 == s2
-                && d1 != d2;
-            if !matched {
-                continue;
-            }
-            let (Some(v1), Some(v2)) = (load_vsw(*d1), load_vsw(*d2)) else {
-                continue;
-            };
-            let vsw = v1.min(v2);
-            // σ_Pelgrom depends only on the model card's area law, so
-            // the box-wide worst case coincides with the point value;
-            // firing on the same bound keeps the variant exactly as
-            // conservative (never less).
-            let model = match m1.polarity {
-                Polarity::Nmos => &tech.nmos,
-                Polarity::Pmos => &tech.pmos,
-            };
-            let sigma = MismatchRng::sigma_pair_offset(model, m1.w, m1.l);
-            if vsw < SIGMA_MARGIN * sigma {
-                out.push(
-                    Diagnostic::new(
-                        Severity::Warning,
-                        rule::MISMATCH_BUDGET_BOX,
-                        format!(
-                            "pair `{n1}`/`{n2}` carries a Pelgrom offset sigma \
-                             of {:.1} mV against a {:.0} mV swing — the \
-                             \u{b1}{:.0}\u{3c3} box eats the noise margin",
-                            sigma * 1e3,
-                            vsw * 1e3,
-                            opts.pvt.k_sigma
-                        ),
-                    )
-                    .with_elements([n1.clone(), n2.clone()])
-                    .with_hint("grow W\u{b7}L of the pair or raise the swing"),
-                );
-            }
+        if vdd < need.lo() {
+            out.push(finding(
+                rule::PROVED_INFEASIBLE,
+                format!(
+                    "supply `{supply}` = {vdd:.2} V is below the proven \
+                     minimum [{:.2}, {:.2}] V the STSCL stack under \
+                     `{name}` needs over {} — infeasible on every die",
+                    need.lo(),
+                    need.hi(),
+                    box_label(opts)
+                ),
+                "a DSE may prune this point without simulation; raise \
+                 VDD or cut ISS/VSW to re-enter the feasible region",
+            ));
+        }
+        if vdd < need.hi() {
+            out.push(finding(
+                rule::VDD_HEADROOM_BOX,
+                format!(
+                    "supply `{supply}` = {vdd:.2} V may fall below the \
+                     {:.2} V the STSCL stack under `{name}` needs \
+                     somewhere in {}",
+                    need.hi(),
+                    box_label(opts)
+                ),
+                "raise VDD or cut ISS/VSW to cover the whole box",
+            ));
+        }
+    }
+    // mismatch-budget-box: sigma's box-wide worst case is its point
+    // value, so the variant fires on the point bound — exactly as
+    // conservative, never less.
+    for pair in lint::matched_pairs(nl, tech) {
+        if pair.vsw < SIGMA_MARGIN * pair.sigma {
+            let [n1, n2] = pair.names;
+            out.push(
+                Diagnostic::new(
+                    Severity::Warning,
+                    rule::MISMATCH_BUDGET_BOX,
+                    format!(
+                        "pair `{n1}`/`{n2}` carries a Pelgrom offset sigma \
+                         of {:.1} mV against a {:.0} mV swing — the \
+                         \u{b1}{:.0}\u{3c3} box eats the noise margin",
+                        pair.sigma * 1e3,
+                        pair.vsw * 1e3,
+                        pvt.k_sigma
+                    ),
+                )
+                .with_elements([n1.to_string(), n2.to_string()])
+                .with_hint("grow W\u{b7}L of the pair or raise the swing"),
+            );
         }
     }
     // rc-time-step-box --------------------------------------------------
-    if let Some(dt) = opts.dt {
-        let mut r_min = Interval::point(f64::INFINITY);
-        let mut c_min = f64::INFINITY;
-        let mut seen_r = false;
-        for e in elems {
-            match e {
-                Element::Resistor { ohms, .. } => {
-                    if *ohms < r_min.lo() {
-                        r_min = Interval::point(*ohms);
-                    }
-                    seen_r = true;
+    let Some(dt) = opts.dt else { return };
+    let mut r_min = Interval::point(f64::INFINITY);
+    let mut seen_r = false;
+    for r in lint::resistive_elements(nl) {
+        match r {
+            Resistive::Resistor(ohms) => {
+                if ohms < r_min.lo() {
+                    r_min = Interval::point(ohms);
                 }
-                Element::SclLoad { load, iss, .. } => {
-                    // The load's interval small-signal resistance:
-                    // 1/g over the box, minimal at the origin.
-                    let g = load.conductance_iv(Interval::ZERO, *iss);
-                    let r = g
-                        .recip()
-                        .expect("load conductance at the origin is strictly positive");
-                    if r.lo() < r_min.lo() {
-                        r_min = r;
-                    }
-                    seen_r = true;
+            }
+            Resistive::Load(load, iss) => {
+                // The load's interval small-signal resistance: 1/g over
+                // the box, minimal at the origin.
+                let r = load
+                    .conductance_iv(Interval::ZERO, iss)
+                    .recip()
+                    .expect("load conductance at the origin is strictly positive");
+                if r.lo() < r_min.lo() {
+                    r_min = r;
                 }
-                Element::Capacitor { farads, .. } => c_min = c_min.min(*farads),
-                _ => {}
             }
         }
-        if seen_r && c_min.is_finite() {
-            let tau = r_min.scale(c_min);
-            if dt > tau.lo() / MIN_POINTS_PER_TAU {
-                out.push(
-                    Diagnostic::new(
-                        Severity::Warning,
-                        rule::RC_TIME_STEP_BOX,
-                        format!(
-                            "transient step {dt:.3e} s may resolve the fastest \
-                             RC time constant (as low as {:.3e} s over the box) \
-                             with fewer than {MIN_POINTS_PER_TAU} points",
-                            tau.lo()
-                        ),
-                    )
-                    .with_hint("shrink dt to cover the fast end of the box"),
-                );
-            }
+        seen_r = true;
+    }
+    let c_min = lint::smallest_capacitance(nl);
+    if seen_r && c_min.is_finite() {
+        let tau = r_min.scale(c_min);
+        if dt > tau.lo() / MIN_POINTS_PER_TAU {
+            out.push(
+                Diagnostic::new(
+                    Severity::Warning,
+                    rule::RC_TIME_STEP_BOX,
+                    format!(
+                        "transient step {dt:.3e} s may resolve the fastest \
+                         RC time constant (as low as {:.3e} s over the box) \
+                         with fewer than {MIN_POINTS_PER_TAU} points",
+                        tau.lo()
+                    ),
+                )
+                .with_hint("shrink dt to cover the fast end of the box"),
+            );
         }
     }
 }
@@ -2086,21 +1904,15 @@ mod tests {
     fn certificates_render_through_the_lint_pipeline() {
         let t = tech();
         let nl = stscl_cell(1e-9, 0.2, 1.0);
-        let report =
-            certify_lint(&nl, &t, &LintConfig::new(), &CertifyOptions::default()).unwrap();
+        let cert = certify(&nl, &t, &CertifyOptions::default()).unwrap();
+        let report = cert.report(&LintConfig::new());
         let d = report.find(rule::PROVED_NONSINGULAR).expect("certificate");
         // Certificates are Info-natural: a default (warn-level) config
         // keeps them Info, so they never trip --deny-warnings.
         assert_eq!(d.severity, Severity::Info);
         assert!(report.is_clean());
         // Allow-listing the certify group drops them entirely.
-        let quiet = certify_lint(
-            &nl,
-            &t,
-            &LintConfig::new().set("certify", LintLevel::Allow),
-            &CertifyOptions::default(),
-        )
-        .unwrap();
+        let quiet = cert.report(&LintConfig::new().set("certify", LintLevel::Allow));
         assert!(quiet.is_empty(), "{quiet}");
     }
 

@@ -1,15 +1,15 @@
-//! Pluggable design lint framework: configurable electrical rules on
-//! top of the structural ERC.
+//! Design lint framework: configurable electrical rules on top of the
+//! structural ERC.
 //!
 //! The paper's premise is that STSCL only works inside a narrow
 //! electrical envelope — every transistor in weak inversion, load swing
 //! `RL·ISS ≈ 150–200 mV`, enough headroom down to `VDD = 1.0 V` — yet
-//! the PR-1 electrical rule checker ([`crate::erc`]) only catches
-//! *topological* faults. This module generalises it into a registry of
-//! [`Lint`]s across three groups:
+//! the electrical rule checker ([`crate::erc`]) only catches
+//! *topological* faults. [`run_ctx`] runs a fixed sequence of static
+//! checks whose rules sit in one [`REGISTRY`] across three groups:
 //!
-//! * **topology** — the nine original ERC rules ([`crate::erc::rule`]),
-//!   now registry entries like any other lint;
+//! * **topology** — the nine ERC rules ([`crate::erc::rule`]), registry
+//!   entries like any other lint;
 //! * **electrical** — EKV analytics from `ulp-device` applied *without a
 //!   full solve*: weak-inversion bound per MOSFET at its inferred bias,
 //!   STSCL swing compatibility between cascaded gates, VDD headroom at
@@ -17,6 +17,11 @@
 //!   post-solve operating-region audit ([`audit`]);
 //! * **numerics** — RC time constant vs. requested transient step, and
 //!   the post-solve near-singularity estimate from the LU pivots.
+//!
+//! Each electrical rule's netlist pattern (biased devices, load → driven
+//! gate, load → supply rail and switching device, matched pairs, the
+//! elements behind the fastest RC) is matched once, in this module; the
+//! sound interval twins in [`crate::absint`] read the same patterns.
 //!
 //! Every rule has a default [`LintLevel`] that can be overridden per
 //! rule, per group, or wholesale through a [`LintConfig`] — programmatic
@@ -35,9 +40,10 @@ use crate::dcop::{DcOperatingPoint, NewtonOptions};
 use crate::diag::{Diagnostic, ErcReport, Severity};
 use crate::mna::{self, AssembleMode, MnaWorkspace, SolverKind};
 use crate::netlist::{Element, Netlist, Node};
+use ulp_device::load::PmosLoad;
 use ulp_device::mismatch::MismatchRng;
 use ulp_device::pvt::Corner;
-use ulp_device::{Polarity, Technology};
+use ulp_device::{Mosfet, Technology};
 
 /// Stable machine-readable codes of the electrical and numerics rules
 /// (the topology codes live in [`crate::erc::rule`]).
@@ -542,7 +548,7 @@ impl LintConfig {
     /// would leave a gate the user asked for unarmed (the same policy
     /// `ULP_JOBS` applies through its typed `JobsError`). Use
     /// [`LintConfig::try_from_env`] to surface the error without
-    /// panicking.
+    /// panicking, as the analysis gate [`crate::erc::gate`] does.
     pub fn from_env() -> Self {
         match LintConfig::try_from_env() {
             Ok(cfg) => cfg,
@@ -683,42 +689,28 @@ impl<'a> LintContext<'a> {
     }
 }
 
-/// One pluggable static check. Implementations push diagnostics at
-/// their *natural* severity; level mapping (deny/warn/allow) is applied
-/// centrally by [`run_ctx`] so a lint never needs to know its
-/// configuration.
-pub trait Lint: Sync {
-    /// The rule codes this lint can emit (for documentation and SARIF
-    /// catalogue grouping; one lint may own several codes).
-    fn codes(&self) -> &'static [&'static str];
-    /// Runs the check, pushing findings into `report`.
-    fn check(&self, cx: &LintContext<'_>, report: &mut ErcReport);
-}
-
-/// The static lint registry, in execution order.
-pub fn lints() -> &'static [&'static dyn Lint] {
-    &[
-        &NamesLint,
-        &ValuesLint,
-        &TopologyLint,
-        &WeakInversionLint,
-        &SwingCompatibilityLint,
-        &VddHeadroomLint,
-        &MismatchBudgetLint,
-        &RcTimeStepLint,
-    ]
-}
-
-/// Runs every registered static lint under `config`.
+/// Runs the static lints under `config`: the three ERC passes, then the
+/// four EKV electrical rules (with device models), then the RC rule
+/// (with a planned step). Each pushes findings at its *natural*
+/// severity; the level mapping (deny/warn/allow) is applied once, here.
 pub fn run_ctx(cx: &LintContext<'_>, config: &LintConfig) -> ErcReport {
     let mut raw = ErcReport::new();
-    for lint in lints() {
-        lint.check(cx, &mut raw);
+    crate::erc::check_names(cx.nl, &mut raw);
+    crate::erc::check_values(cx.nl, &mut raw);
+    crate::erc::check_topology(cx.nl, &mut raw);
+    if let Some(tech) = cx.tech {
+        weak_inversion(cx.nl, tech, &mut raw);
+        swing_compatibility(cx.nl, tech, &mut raw);
+        vdd_headroom(cx.nl, tech, &mut raw);
+        mismatch_budget(cx.nl, tech, &mut raw);
+    }
+    if let Some(dt) = cx.dt {
+        rc_time_step(cx.nl, dt, &mut raw);
     }
     finish(raw, config)
 }
 
-/// Runs every registered static lint with device models available.
+/// Runs every static lint with device models available.
 pub fn run(nl: &Netlist, tech: &Technology, config: &LintConfig) -> ErcReport {
     run_ctx(&LintContext::with_tech(nl, tech), config)
 }
@@ -757,337 +749,329 @@ pub fn debug_assert_clean(nl: &Netlist, tech: &Technology) {
 }
 
 // ---------------------------------------------------------------------
-// Topology-group lints: thin adapters over the ERC passes.
+// STSCL patterns: the netlist match behind each electrical rule, made
+// once here for the point lints below and their interval twins
+// (`*-box`, `proved-infeasible`) in `crate::absint`.
 // ---------------------------------------------------------------------
 
-struct NamesLint;
-
-impl Lint for NamesLint {
-    fn codes(&self) -> &'static [&'static str] {
-        &[crate::erc::rule::DUPLICATE_NAME]
-    }
-
-    fn check(&self, cx: &LintContext<'_>, report: &mut ErcReport) {
-        crate::erc::check_names(cx.nl, report);
-    }
-}
-
-struct ValuesLint;
-
-impl Lint for ValuesLint {
-    fn codes(&self) -> &'static [&'static str] {
-        &[
-            crate::erc::rule::BAD_VALUE,
-            crate::erc::rule::ZERO_VALUE_SOURCE,
-        ]
-    }
-
-    fn check(&self, cx: &LintContext<'_>, report: &mut ErcReport) {
-        crate::erc::check_values(cx.nl, report);
-    }
-}
-
-struct TopologyLint;
-
-impl Lint for TopologyLint {
-    fn codes(&self) -> &'static [&'static str] {
-        &[
-            crate::erc::rule::FLOATING_NODE,
-            crate::erc::rule::VSOURCE_LOOP,
-            crate::erc::rule::CURRENT_SOURCE_CUTSET,
-            crate::erc::rule::UNDRIVEN_GATE,
-            crate::erc::rule::DANGLING_TERMINAL,
-            crate::erc::rule::SELF_LOOP,
-        ]
-    }
-
-    fn check(&self, cx: &LintContext<'_>, report: &mut ErcReport) {
-        crate::erc::check_topology(cx.nl, report);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Electrical lints: EKV analytics, no solve.
-// ---------------------------------------------------------------------
-
-/// Infers the intended branch bias current of a MOS device from the
-/// surrounding netlist, pattern-based: an STSCL load on the drain
-/// defines the steered branch current (its calibration `iss`); failing
-/// that, an independent current source on the drain or source net (the
-/// tail / reference idiom) defines it. `None` when nothing pins the
-/// bias — such devices are audited post-solve instead.
-pub(crate) fn inferred_bias(nl: &Netlist, d: Node, s: Node) -> Option<f64> {
-    for e in nl.elements() {
-        if let Element::SclLoad { b, iss, .. } = e {
-            if *b == d {
-                return Some(*iss);
-            }
-        }
-    }
-    for e in nl.elements() {
-        if let Element::Isource { p, n, wave, .. } = e {
-            if [*p, *n].contains(&d) || [*p, *n].contains(&s) {
-                let i = wave.dc().abs();
-                if i > 0.0 {
-                    return Some(i);
-                }
-            }
-        }
-    }
-    None
-}
-
-struct WeakInversionLint;
-
-impl Lint for WeakInversionLint {
-    fn codes(&self) -> &'static [&'static str] {
-        &[rule::WEAK_INVERSION]
-    }
-
-    fn check(&self, cx: &LintContext<'_>, report: &mut ErcReport) {
-        let Some(tech) = cx.tech else { return };
-        for e in cx.nl.elements() {
-            let Element::Mos { name, d, s, dev, .. } = e else {
-                continue;
-            };
-            let Some(bias) = inferred_bias(cx.nl, *d, *s) else {
-                continue;
-            };
-            let ic = dev.inversion_coefficient(tech, bias);
-            if ic > IC_WEAK_MAX {
-                report.push(
-                    Diagnostic::new(
-                        Severity::Warning,
-                        rule::WEAK_INVERSION,
-                        format!(
-                            "`{name}` would run at inversion coefficient {ic:.3} \
-                             at its inferred bias of {bias:.3e} A — outside weak \
-                             inversion (bound {IC_WEAK_MAX})"
-                        ),
-                    )
-                    .with_elements([name.clone()])
-                    .with_hint(
-                        "widen W/L or reduce the bias current; the STSCL delay and \
-                         swing laws assume IC \u{226a} 1",
-                    ),
-                );
-            }
-        }
-    }
-}
-
-struct SwingCompatibilityLint;
-
-impl Lint for SwingCompatibilityLint {
-    fn codes(&self) -> &'static [&'static str] {
-        &[rule::SWING_COMPATIBILITY]
-    }
-
-    fn check(&self, cx: &LintContext<'_>, report: &mut ErcReport) {
-        let Some(tech) = cx.tech else { return };
-        let ut = tech.thermal_voltage();
-        for e in cx.nl.elements() {
-            let Element::SclLoad { name, b, load, .. } = e else {
-                continue;
-            };
-            // Every MOS gate on the load's output node belongs to a
-            // driven (cascaded) stage; it needs the full differential
-            // swing to steer its pair.
-            for drv in cx.nl.elements() {
-                let Element::Mos {
-                    name: dname,
-                    g,
-                    dev,
-                    ..
-                } = drv
-                else {
-                    continue;
-                };
-                if g != b {
-                    continue;
-                }
-                let n_slope = match dev.polarity {
-                    Polarity::Nmos => tech.nmos.n,
-                    Polarity::Pmos => tech.pmos.n,
-                };
-                let required = STEERING_NUT * n_slope * ut;
-                if load.vsw < required {
-                    report.push(
-                        Diagnostic::new(
-                            Severity::Warning,
-                            rule::SWING_COMPATIBILITY,
-                            format!(
-                                "load `{name}` swings {:.0} mV on node `{}` but the \
-                                 driven pair device `{dname}` needs {:.0} mV \
-                                 ({STEERING_NUT}\u{b7}n\u{b7}UT) to steer",
-                                load.vsw * 1e3,
-                                cx.nl.node_name(*b),
-                                required * 1e3
-                            ),
-                        )
-                        .with_nodes([cx.nl.node_name(*b).to_string()])
-                        .with_elements([name.clone(), dname.clone()])
-                        .with_hint(
-                            "raise RL\u{b7}ISS (the paper designs for 150\u{2013}200 mV) \
-                             or the next stage will never switch completely",
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-struct VddHeadroomLint;
-
-impl Lint for VddHeadroomLint {
-    fn codes(&self) -> &'static [&'static str] {
-        &[rule::VDD_HEADROOM]
-    }
-
-    fn check(&self, cx: &LintContext<'_>, report: &mut ErcReport) {
-        let Some(tech) = cx.tech else { return };
-        for e in cx.nl.elements() {
-            let Element::SclLoad {
-                name, a, b, load, iss,
-            } = e
-            else {
-                continue;
-            };
-            // The supply rail: a DC voltage source fixing the load's
-            // supply-side node against ground.
-            let supply = cx.nl.elements().iter().find_map(|s| match s {
-                Element::Vsource { name, p, n, wave, .. }
-                    if p == a && n.is_ground() =>
-                {
-                    Some((name.clone(), wave.dc()))
-                }
-                _ => None,
-            });
-            // The switching-pair device under the load.
-            let pair = cx.nl.elements().iter().find_map(|m| match m {
-                Element::Mos { name, d, dev, .. } if d == b => {
-                    Some((name.clone(), *dev))
-                }
-                _ => None,
-            });
-            let (Some((vname, vdd)), Some((mname, dev))) = (supply, pair) else {
-                continue;
-            };
-            // Worst corner: VT shifts move the pair's gate drive.
-            let mut worst: Option<(Corner, f64)> = None;
-            for corner in Corner::all() {
-                let tc = tech.at_corner(corner);
-                let need = dev.min_supply(&tc, *iss, load.vsw);
-                if worst.is_none_or(|(_, w)| need > w) {
-                    worst = Some((corner, need));
-                }
-            }
-            let (corner, need) = worst.expect("corners are non-empty");
-            if vdd < need {
-                report.push(
-                    Diagnostic::new(
-                        Severity::Warning,
-                        rule::VDD_HEADROOM,
-                        format!(
-                            "supply `{vname}` = {vdd:.2} V is below the \
-                             {need:.2} V the STSCL stack under `{name}` needs \
-                             at the {corner} corner"
-                        ),
-                    )
-                    .with_nodes([cx.nl.node_name(*a).to_string()])
-                    .with_elements([name.clone(), mname, vname])
-                    .with_hint(
-                        "VDD must cover swing + pair VGS + tail saturation \
-                         across corners; raise VDD or cut ISS/VSW",
-                    ),
-                );
-            }
-        }
-    }
-}
-
-struct MismatchBudgetLint;
-
-impl Lint for MismatchBudgetLint {
-    fn codes(&self) -> &'static [&'static str] {
-        &[rule::MISMATCH_BUDGET]
-    }
-
-    fn check(&self, cx: &LintContext<'_>, report: &mut ErcReport) {
-        let Some(tech) = cx.tech else { return };
-        let elems = cx.nl.elements();
-        // The vsw of the STSCL load on a drain node, if any.
-        let load_vsw = |node: Node| {
+/// Every MOS device whose branch bias current the netlist pins, with
+/// that current, in netlist order. An STSCL load on the drain defines
+/// the steered branch current (its calibration `iss`); failing that, an
+/// independent current source on the drain or source net (the tail /
+/// reference idiom) does. Devices nothing pins are audited post-solve
+/// instead.
+pub(crate) fn biased_devices(nl: &Netlist) -> impl Iterator<Item = (&str, &Mosfet, f64)> {
+    let elems = nl.elements();
+    elems.iter().filter_map(move |e| {
+        let Element::Mos { name, d, s, dev, .. } = e else {
+            return None;
+        };
+        let source = || {
             elems.iter().find_map(|e| match e {
-                Element::SclLoad { b, load, .. } if *b == node => Some(load.vsw),
+                Element::Isource { p, n, wave, .. }
+                    if [p, n].contains(&d) || [p, n].contains(&s) =>
+                {
+                    Some(wave.dc().abs()).filter(|&i| i > 0.0)
+                }
                 _ => None,
             })
         };
-        for (i, ei) in elems.iter().enumerate() {
-            let Element::Mos {
-                name: n1,
-                d: d1,
-                s: s1,
-                dev: m1,
-                ..
-            } = ei
-            else {
-                continue;
-            };
-            for ej in &elems[i + 1..] {
-                let Element::Mos {
-                    name: n2,
-                    d: d2,
-                    s: s2,
-                    dev: m2,
-                    ..
-                } = ej
-                else {
-                    continue;
-                };
-                // A matched source-coupled pair: same polarity and
-                // geometry, sharing the source node, each drain loaded
-                // by an STSCL load.
-                let matched = m1.polarity == m2.polarity
-                    && m1.w == m2.w
-                    && m1.l == m2.l
-                    && s1 == s2
-                    && d1 != d2;
-                if !matched {
-                    continue;
-                }
-                let (Some(v1), Some(v2)) = (load_vsw(*d1), load_vsw(*d2)) else {
-                    continue;
-                };
-                let vsw = v1.min(v2);
-                let model = match m1.polarity {
-                    Polarity::Nmos => &tech.nmos,
-                    Polarity::Pmos => &tech.pmos,
-                };
-                let sigma = MismatchRng::sigma_pair_offset(model, m1.w, m1.l);
-                if vsw < SIGMA_MARGIN * sigma {
-                    report.push(
-                        Diagnostic::new(
-                            Severity::Warning,
-                            rule::MISMATCH_BUDGET,
-                            format!(
-                                "pair `{n1}`/`{n2}` has a Pelgrom offset sigma of \
-                                 {:.1} mV against a {:.0} mV swing (margin below \
-                                 {SIGMA_MARGIN}\u{b7}\u{3c3})",
-                                sigma * 1e3,
-                                vsw * 1e3
-                            ),
-                        )
-                        .with_elements([n1.clone(), n2.clone()])
-                        .with_hint(
-                            "grow W\u{b7}L of the pair (\u{3c3} \u{221d} 1/\u{221a}(WL)) \
-                             or raise the swing; offsets this large eat the noise \
-                             margin the paper budgets",
-                        ),
-                    );
-                }
+        let load = loads(nl).find(|l| l.b == *d).map(|l| l.iss);
+        Some((name.as_str(), dev, load.or_else(source)?))
+    })
+}
+
+/// One STSCL load element.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Load<'a> {
+    pub(crate) name: &'a str,
+    /// Supply-side terminal.
+    pub(crate) a: Node,
+    /// Output terminal.
+    pub(crate) b: Node,
+    /// Calibrated swing, V.
+    pub(crate) vsw: f64,
+    /// Calibration tail current, A.
+    pub(crate) iss: f64,
+}
+
+fn loads(nl: &Netlist) -> impl Iterator<Item = Load<'_>> {
+    nl.elements().iter().filter_map(|e| match e {
+        Element::SclLoad {
+            name, a, b, load, iss,
+        } => Some(Load {
+            name,
+            a: *a,
+            b: *b,
+            vsw: load.vsw,
+            iss: *iss,
+        }),
+        _ => None,
+    })
+}
+
+/// The MOS devices whose gate sits on `node`, in netlist order.
+fn gates_on(nl: &Netlist, node: Node) -> impl Iterator<Item = (&str, &Mosfet)> {
+    nl.elements().iter().filter_map(move |e| match e {
+        Element::Mos { name, g, dev, .. } if *g == node => Some((name.as_str(), dev)),
+        _ => None,
+    })
+}
+
+/// Every (STSCL load, MOS gate on its output) pair, in netlist order:
+/// the gate belongs to a driven (cascaded) stage, which needs the full
+/// differential swing to steer its pair.
+pub(crate) fn steered_gates(nl: &Netlist) -> impl Iterator<Item = (Load<'_>, &str, &Mosfet)> {
+    loads(nl).flat_map(move |load| {
+        gates_on(nl, load.b).map(move |(gate, dev)| (load, gate, dev))
+    })
+}
+
+/// An STSCL stack the headroom rules size.
+pub(crate) struct Stack<'a> {
+    pub(crate) load: Load<'a>,
+    /// The supply rail: the first DC voltage source from the load's
+    /// supply side to ground.
+    pub(crate) supply: &'a str,
+    /// The rail's DC value, V.
+    pub(crate) vdd: f64,
+    /// The switching device: the first MOS with its drain on the load's
+    /// output.
+    pub(crate) switch: &'a str,
+    pub(crate) dev: &'a Mosfet,
+}
+
+/// Every STSCL load with both a supply rail and a switching device, in
+/// netlist order.
+pub(crate) fn stacks(nl: &Netlist) -> impl Iterator<Item = Stack<'_>> {
+    let elems = nl.elements();
+    loads(nl).filter_map(move |load| {
+        let (supply, vdd) = elems.iter().find_map(|e| match e {
+            Element::Vsource { name, p, n, wave, .. } if *p == load.a && n.is_ground() => {
+                Some((name.as_str(), wave.dc()))
             }
+            _ => None,
+        })?;
+        let (switch, dev) = elems.iter().find_map(|e| match e {
+            Element::Mos { name, d, dev, .. } if *d == load.b => Some((name.as_str(), dev)),
+            _ => None,
+        })?;
+        Some(Stack {
+            load,
+            supply,
+            vdd,
+            switch,
+            dev,
+        })
+    })
+}
+
+/// A matched source-coupled pair: two MOS devices of one polarity and
+/// W/L sharing a source node, with distinct drains each loaded by an
+/// STSCL load.
+pub(crate) struct MatchedPair<'a> {
+    pub(crate) names: [&'a str; 2],
+    /// The smaller of the two loads' swings, V.
+    pub(crate) vsw: f64,
+    /// Pelgrom sigma of the pair's offset, V. It depends only on the
+    /// card's area law, so the box-wide worst case is this point value.
+    pub(crate) sigma: f64,
+}
+
+/// Every matched pair, in netlist order of its first then second device.
+pub(crate) fn matched_pairs<'a>(
+    nl: &'a Netlist,
+    tech: &'a Technology,
+) -> impl Iterator<Item = MatchedPair<'a>> {
+    let elems = nl.elements();
+    // The swing of the STSCL load on a drain node, if any.
+    let load_vsw = move |node: Node| loads(nl).find(|l| l.b == node).map(|l| l.vsw);
+    let mos = |e: &'a Element| match e {
+        Element::Mos { name, d, s, dev, .. } => Some((name.as_str(), *d, *s, dev)),
+        _ => None,
+    };
+    let devices = elems.iter().enumerate().filter_map(move |(i, e)| Some((i, mos(e)?)));
+    devices.flat_map(move |(i, (n1, d1, s1, m1))| {
+        elems[i + 1..].iter().filter_map(mos).filter_map(move |(n2, d2, s2, m2)| {
+            let matched =
+                m1.polarity == m2.polarity && m1.w == m2.w && m1.l == m2.l && s1 == s2 && d1 != d2;
+            if !matched {
+                return None;
+            }
+            let (v1, v2) = (load_vsw(d1)?, load_vsw(d2)?);
+            Some(MatchedPair {
+                names: [n1, n2],
+                vsw: v1.min(v2),
+                sigma: MismatchRng::sigma_pair_offset(m1.model(tech), m1.w, m1.l),
+            })
+        })
+    })
+}
+
+/// A resistive element behind the fastest RC time constant.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Resistive {
+    /// An explicit resistor, Ω.
+    Resistor(f64),
+    /// An STSCL load at its calibration current, A.
+    Load(PmosLoad, f64),
+}
+
+/// Every resistive element, in netlist order.
+pub(crate) fn resistive_elements(nl: &Netlist) -> impl Iterator<Item = Resistive> + '_ {
+    nl.elements().iter().filter_map(|e| match e {
+        Element::Resistor { ohms, .. } => Some(Resistive::Resistor(*ohms)),
+        Element::SclLoad { load, iss, .. } => Some(Resistive::Load(*load, *iss)),
+        _ => None,
+    })
+}
+
+/// The smallest capacitance in the netlist, F (`+∞` without any).
+pub(crate) fn smallest_capacitance(nl: &Netlist) -> f64 {
+    nl.elements()
+        .iter()
+        .filter_map(|e| match e {
+            Element::Capacitor { farads, .. } => Some(*farads),
+            _ => None,
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The fastest plausible RC time constant of `nl`, s: the smallest
+/// resistance (explicit resistors plus the small-signal resistance of
+/// STSCL loads at the origin) against the smallest capacitance. `None`
+/// when the netlist lacks either.
+pub fn fastest_rc(nl: &Netlist) -> Option<f64> {
+    let r_min = resistive_elements(nl)
+        .map(|r| match r {
+            Resistive::Resistor(ohms) => ohms,
+            Resistive::Load(load, iss) => load.resistance(iss),
+        })
+        .fold(f64::INFINITY, f64::min);
+    let c_min = smallest_capacitance(nl);
+    (r_min.is_finite() && c_min.is_finite()).then_some(r_min * c_min)
+}
+
+// ---------------------------------------------------------------------
+// Electrical lints: EKV analytics at the nominal card, no solve.
+// ---------------------------------------------------------------------
+
+fn weak_inversion(nl: &Netlist, tech: &Technology, report: &mut ErcReport) {
+    for (name, dev, bias) in biased_devices(nl) {
+        let ic = dev.inversion_coefficient(tech, bias);
+        if ic > IC_WEAK_MAX {
+            report.push(
+                Diagnostic::new(
+                    Severity::Warning,
+                    rule::WEAK_INVERSION,
+                    format!(
+                        "`{name}` would run at inversion coefficient {ic:.3} \
+                         at its inferred bias of {bias:.3e} A — outside weak \
+                         inversion (bound {IC_WEAK_MAX})"
+                    ),
+                )
+                .with_elements([name.to_string()])
+                .with_hint(
+                    "widen W/L or reduce the bias current; the STSCL delay and \
+                     swing laws assume IC \u{226a} 1",
+                ),
+            );
+        }
+    }
+}
+
+fn swing_compatibility(nl: &Netlist, tech: &Technology, report: &mut ErcReport) {
+    let ut = tech.thermal_voltage();
+    for (load, gate, dev) in steered_gates(nl) {
+        let required = STEERING_NUT * dev.model(tech).n * ut;
+        if load.vsw < required {
+            let node = nl.node_name(load.b);
+            report.push(
+                Diagnostic::new(
+                    Severity::Warning,
+                    rule::SWING_COMPATIBILITY,
+                    format!(
+                        "load `{}` swings {:.0} mV on node `{node}` but the \
+                         driven pair device `{gate}` needs {:.0} mV \
+                         ({STEERING_NUT}\u{b7}n\u{b7}UT) to steer",
+                        load.name,
+                        load.vsw * 1e3,
+                        required * 1e3
+                    ),
+                )
+                .with_nodes([node.to_string()])
+                .with_elements([load.name.to_string(), gate.to_string()])
+                .with_hint(
+                    "raise RL\u{b7}ISS (the paper designs for 150\u{2013}200 mV) \
+                     or the next stage will never switch completely",
+                ),
+            );
+        }
+    }
+}
+
+fn vdd_headroom(nl: &Netlist, tech: &Technology, report: &mut ErcReport) {
+    for st in stacks(nl) {
+        // Worst corner: VT shifts move the pair's gate drive. The first
+        // corner reaching the maximum need is the one named.
+        let mut worst: Option<(Corner, f64)> = None;
+        for corner in Corner::all() {
+            let tc = tech.at_corner(corner);
+            let need = st.dev.min_supply(&tc, st.load.iss, st.load.vsw);
+            if worst.is_none_or(|(_, w)| need > w) {
+                worst = Some((corner, need));
+            }
+        }
+        let (corner, need) = worst.expect("corners are non-empty");
+        if st.vdd < need {
+            report.push(
+                Diagnostic::new(
+                    Severity::Warning,
+                    rule::VDD_HEADROOM,
+                    format!(
+                        "supply `{}` = {:.2} V is below the {need:.2} V the \
+                         STSCL stack under `{}` needs at the {corner} corner",
+                        st.supply, st.vdd, st.load.name
+                    ),
+                )
+                .with_nodes([nl.node_name(st.load.a).to_string()])
+                .with_elements([
+                    st.load.name.to_string(),
+                    st.switch.to_string(),
+                    st.supply.to_string(),
+                ])
+                .with_hint(
+                    "VDD must cover swing + pair VGS + tail saturation \
+                     across corners; raise VDD or cut ISS/VSW",
+                ),
+            );
+        }
+    }
+}
+
+fn mismatch_budget(nl: &Netlist, tech: &Technology, report: &mut ErcReport) {
+    for pair in matched_pairs(nl, tech) {
+        if pair.vsw < SIGMA_MARGIN * pair.sigma {
+            let [n1, n2] = pair.names;
+            report.push(
+                Diagnostic::new(
+                    Severity::Warning,
+                    rule::MISMATCH_BUDGET,
+                    format!(
+                        "pair `{n1}`/`{n2}` has a Pelgrom offset sigma of \
+                         {:.1} mV against a {:.0} mV swing (margin below \
+                         {SIGMA_MARGIN}\u{b7}\u{3c3})",
+                        pair.sigma * 1e3,
+                        pair.vsw * 1e3
+                    ),
+                )
+                .with_elements([n1.to_string(), n2.to_string()])
+                .with_hint(
+                    "grow W\u{b7}L of the pair (\u{3c3} \u{221d} 1/\u{221a}(WL)) \
+                     or raise the swing; offsets this large eat the noise \
+                     margin the paper budgets",
+                ),
+            );
         }
     }
 }
@@ -1096,51 +1080,24 @@ impl Lint for MismatchBudgetLint {
 // Numerics lints.
 // ---------------------------------------------------------------------
 
-struct RcTimeStepLint;
-
-impl Lint for RcTimeStepLint {
-    fn codes(&self) -> &'static [&'static str] {
-        &[rule::RC_TIME_STEP]
-    }
-
-    fn check(&self, cx: &LintContext<'_>, report: &mut ErcReport) {
-        let Some(dt) = cx.dt else { return };
-        // Fastest plausible time constant: smallest resistance (explicit
-        // resistors plus the small-signal resistance of STSCL loads)
-        // against the smallest capacitance, as `tran::suggest_dt` does.
-        let mut r_min = f64::INFINITY;
-        let mut c_min = f64::INFINITY;
-        for e in cx.nl.elements() {
-            match e {
-                Element::Resistor { ohms, .. } => r_min = r_min.min(*ohms),
-                Element::SclLoad { load, iss, .. } => {
-                    r_min = r_min.min(load.resistance(*iss));
-                }
-                Element::Capacitor { farads, .. } => c_min = c_min.min(*farads),
-                _ => {}
-            }
-        }
-        if !(r_min.is_finite() && c_min.is_finite()) {
-            return;
-        }
-        let tau = r_min * c_min;
-        if dt > tau / MIN_POINTS_PER_TAU {
-            report.push(
-                Diagnostic::new(
-                    Severity::Warning,
-                    rule::RC_TIME_STEP,
-                    format!(
-                        "transient step {dt:.3e} s resolves the fastest RC time \
-                         constant ({tau:.3e} s) with fewer than \
-                         {MIN_POINTS_PER_TAU} points"
-                    ),
-                )
-                .with_hint(
-                    "shrink dt (see tran::suggest_dt) or the integrator will \
-                     smear the edge; backward Euler overdamps, trapezoidal rings",
+fn rc_time_step(nl: &Netlist, dt: f64, report: &mut ErcReport) {
+    let Some(tau) = fastest_rc(nl) else { return };
+    if dt > tau / MIN_POINTS_PER_TAU {
+        report.push(
+            Diagnostic::new(
+                Severity::Warning,
+                rule::RC_TIME_STEP,
+                format!(
+                    "transient step {dt:.3e} s resolves the fastest RC time \
+                     constant ({tau:.3e} s) with fewer than \
+                     {MIN_POINTS_PER_TAU} points"
                 ),
-            );
-        }
+            )
+            .with_hint(
+                "shrink dt (see tran::suggest_dt) or the integrator will \
+                 smear the edge; backward Euler overdamps, trapezoidal rings",
+            ),
+        );
     }
 }
 
@@ -1260,8 +1217,7 @@ pub fn audit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ulp_device::load::PmosLoad;
-    use ulp_device::{Mosfet, Technology};
+    use ulp_device::Polarity;
 
     fn tech() -> Technology {
         Technology::default()
@@ -1583,11 +1539,22 @@ mod tests {
 
     #[test]
     fn registry_is_complete_and_unique() {
-        // Every code the static lints claim is in the registry…
-        for lint in lints() {
-            for code in lint.codes() {
-                assert!(rule_info(code).is_some(), "unregistered code {code}");
-            }
+        // Completeness (every emitted electrical, box and infeasibility
+        // code is registered) is checked on the findings themselves by
+        // the golden test in `tests/certify_soundness.rs`; here, every
+        // topology code is registered…
+        for code in [
+            crate::erc::rule::FLOATING_NODE,
+            crate::erc::rule::VSOURCE_LOOP,
+            crate::erc::rule::CURRENT_SOURCE_CUTSET,
+            crate::erc::rule::UNDRIVEN_GATE,
+            crate::erc::rule::DANGLING_TERMINAL,
+            crate::erc::rule::BAD_VALUE,
+            crate::erc::rule::DUPLICATE_NAME,
+            crate::erc::rule::SELF_LOOP,
+            crate::erc::rule::ZERO_VALUE_SOURCE,
+        ] {
+            assert!(rule_info(code).is_some(), "unregistered code {code}");
         }
         // …and codes are unique.
         for (i, r) in REGISTRY.iter().enumerate() {
