@@ -57,16 +57,6 @@ pub enum Value {
     Ref(String),
 }
 
-impl Value {
-    /// The literal value, if this is one.
-    pub fn as_lit(&self) -> Option<f64> {
-        match self {
-            Value::Lit(v) => Some(*v),
-            Value::Ref(_) => None,
-        }
-    }
-}
-
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -282,13 +272,6 @@ pub struct Subckt {
     pub params: Vec<(String, f64)>,
     /// Body cards, in declaration order.
     pub items: Vec<Item>,
-}
-
-impl Subckt {
-    /// Position of the named port, if declared.
-    pub fn port_index(&self, name: &str) -> Option<usize> {
-        self.ports.iter().position(|p| p.name == name)
-    }
 }
 
 /// Per-device-class geometry defaults

@@ -34,8 +34,8 @@
 //! # Abstract domain and fixpoint
 //!
 //! The abstract state is one interval per MNA unknown. Starting from
-//! `±(max |V_source| + v_limit)`, the interpreter alternates two sound
-//! narrowing steps until a post-fixpoint:
+//! `±(max |V_source| + V_LIMIT)`, the interpreter alternates two sound
+//! narrowing steps for a fixed number of sweeps:
 //!
 //! 1. **Source pinning** — for every voltage-defined branch
 //!    `V(p) − V(n) = V`, propagate `X_p ∩= X_n + V` (and symmetrically),
@@ -50,10 +50,18 @@
 //!    the box stays enclosed.
 //!
 //! Branch currents are then recovered from interval KCL at a source
-//! terminal, the per-corner boxes hulled, and the result inflated by a
-//! configurable `solver_slack` to absorb the float error of the
-//! concrete Newton/LU path relative to the exact-arithmetic solutions
-//! the enclosure bounds.
+//! terminal, the per-corner boxes hulled, and the result inflated by
+//! `SOLVER_SLACK` to absorb the float error of the concrete Newton/LU
+//! path relative to the exact-arithmetic solutions the enclosure
+//! bounds.
+//!
+//! Every interval KCL sum — a narrowing cut, a branch terminal, the
+//! current refinement of the Jacobian — runs through one kernel that
+//! walks only the elements incident to its nodes, read from a table
+//! built once per [`certify`] together with the narrowing cuts. The
+//! interpreter's tuning (`GMIN`, `V_LIMIT`, sweeps, bisection steps,
+//! `SOLVER_SLACK`, `T_SLICES`) is private constants; [`CertifyOptions`]
+//! sets only the box and the planned transient step.
 //!
 //! # Nonsingularity proof chain
 //!
@@ -63,14 +71,15 @@
 //! Z-matrix per die (see [`structural_nonsingular`]), the Jacobian is
 //! nonsingular for every die at **every** voltage — no intervals, no
 //! corners. Otherwise the interval Jacobian is stamped exactly like
-//! [`crate::mna`] assembles the point Jacobian (same stamps, same
-//! `max(1e-18)` floors, same gmin), then proved regular by the
+//! [`crate::mna`] assembles the point Jacobian (it replays the same
+//! static stamp layout and device quads, with the same `max(1e-18)`
+//! floors and the same gmin), then proved regular by the
 //! cheapest sufficient argument: Gershgorin diagonal dominance,
 //! midpoint-preconditioned enclosure (`‖I − R·[A]‖∞ < 1`), or a full
 //! interval LU ([`ulp_num::IntervalLu`]) whose completion implies
 //! every member matrix is nonsingular — case-splitting the
-//! temperature axis into [`CertifyOptions::t_slices`] slices when the
-//! full-range box defeats all three.
+//! temperature axis into `T_SLICES` slices when the full-range box
+//! defeats all three.
 //!
 //! # Example
 //!
@@ -104,6 +113,7 @@ use crate::lint::{
     self, rule, LintConfig, Resistive, IC_WEAK_MAX, MIN_POINTS_PER_TAU, SIGMA_MARGIN,
     STEERING_NUT,
 };
+use crate::mna::{add_quad, mos_quads, static_stamps, StaticKind};
 use crate::netlist::{Element, Netlist, Node};
 use crate::SimError;
 use ulp_device::envelope::PvtBox;
@@ -116,55 +126,46 @@ use ulp_num::{Interval, IntervalLu, Matrix};
 /// stand-in for "unbounded" that keeps interval arithmetic finite).
 const UNBOUNDED: f64 = 1e30;
 
-/// Tuning knobs of the abstract interpreter. The defaults certify the
-/// builder netlists in well under a second each; the knobs exist so
-/// bulk harnesses (thousands of random ladders) can trade tightness
-/// for speed.
+/// The gmin the concrete solver stamps: the
+/// [`crate::dcop::NewtonOptions`] default of the point solves the
+/// enclosure is compared against.
+const GMIN: f64 = 1e-12;
+/// Half-width added to the largest DC source magnitude to form the
+/// initial node-voltage box, V: node voltages outside
+/// `±(max |V| + V_LIMIT)` are outside the certified enclosure.
+const V_LIMIT: f64 = 2.0;
+/// Narrowing sweeps (pinning + bisection) per corner.
+const SWEEPS: usize = 6;
+/// Binary-search steps per bound per cut per sweep.
+const BISECT_STEPS: usize = 40;
+/// Relative inflation of the final enclosure, absorbing the float
+/// error of the concrete Newton/LU path relative to the
+/// exact-arithmetic solutions the fixpoint bounds.
+const SOLVER_SLACK: f64 = 1e-6;
+/// Temperature case-split depth: when the full-range proof fails at a
+/// corner, the temperature interval is subdivided into this many
+/// slices and the proof chain re-run per slice (any die has *one*
+/// junction temperature, so proving every slice proves the box). This
+/// recovers cross-device temperature correlation — e.g. a current
+/// mirror whose reference and output legs track — that single-interval
+/// evaluation must forfeit.
+const T_SLICES: usize = 8;
+
+/// What a certification quantifies over.
 #[derive(Debug, Clone)]
 pub struct CertifyOptions {
     /// The temperature/mismatch box certificates quantify over (the
     /// discrete process corners are always all of [`Corner::all`]).
     pub pvt: PvtBox,
-    /// The gmin the concrete solver stamps (must match the
-    /// [`crate::dcop::NewtonOptions`] used for point solves the
-    /// enclosure is compared against).
-    pub gmin: f64,
-    /// Half-width added to the largest DC source magnitude to form the
-    /// initial node-voltage box, V. Node voltages outside
-    /// `±(max |V| + v_limit)` are outside the certified enclosure.
-    pub v_limit: f64,
-    /// Narrowing sweeps (pinning + bisection) per corner.
-    pub sweeps: usize,
-    /// Binary-search steps per bound per node per sweep.
-    pub bisect_steps: usize,
-    /// Relative inflation of the final enclosure, absorbing the float
-    /// error of the concrete Newton/LU path relative to the
-    /// exact-arithmetic solutions the fixpoint bounds.
-    pub solver_slack: f64,
     /// Planned transient step, s — enables [`rule::RC_TIME_STEP_BOX`].
     pub dt: Option<f64>,
-    /// Temperature case-split depth: when the full-range proof fails
-    /// at a corner, the temperature interval is subdivided into this
-    /// many slices and the proof chain re-run per slice (any die has
-    /// *one* junction temperature, so proving every slice proves the
-    /// box). This recovers cross-device temperature correlation —
-    /// e.g. a current mirror whose reference and output legs track —
-    /// that single-interval evaluation must forfeit. `1` disables the
-    /// split.
-    pub t_slices: usize,
 }
 
 impl Default for CertifyOptions {
     fn default() -> Self {
         CertifyOptions {
             pvt: PvtBox::qualification(),
-            gmin: 1e-12,
-            v_limit: 2.0,
-            sweeps: 6,
-            bisect_steps: 40,
-            solver_slack: 1e-6,
             dt: None,
-            t_slices: 8,
         }
     }
 }
@@ -289,9 +290,10 @@ pub fn certify(
     // there is nothing left for the per-corner interval chain to show,
     // so the corner loop only computes the solution enclosure.
     let structural = structural_nonsingular(nl);
+    let kcl = Kcl::new(nl);
     // Proof strength of one (corner, pvt) evaluation, or None.
-    let prove_at = |tc: &Technology, o: &CertifyOptions, boxes: &[Interval]| -> Option<usize> {
-        let jac = interval_jacobian(nl, tc, o, boxes);
+    let prove_at = |tc: &Technology, pvt: &PvtBox, boxes: &[Interval]| -> Option<usize> {
+        let jac = interval_jacobian(&kcl, tc, pvt, boxes);
         if gershgorin_nonsingular(&jac) {
             Some(0)
         } else if prove_regular(&jac) {
@@ -305,23 +307,23 @@ pub fn certify(
 
     for corner in Corner::all() {
         let tc = tech.at_corner(corner);
-        let boxes = enclosure_fixpoint(nl, &tc, opts);
+        let boxes = enclosure_fixpoint(&kcl, &tc, &opts.pvt);
         // Per-corner proof chain on the interval Jacobian; if the
         // full-range box defeats every method, case-split the
         // temperature axis — each die sits in exactly one slice, and a
         // slice restores the cross-device temperature correlation
         // (mirror legs, replica loops) the full-range intervals lose.
         if !structural && verdict.is_none() {
-            match prove_at(&tc, opts, &boxes) {
+            match prove_at(&tc, &opts.pvt, &boxes) {
                 Some(m) => strongest = strongest.max(m),
-                None if opts.t_slices > 1 => {
-                    let width = (opts.pvt.t_hi - opts.pvt.t_lo) / opts.t_slices as f64;
-                    let all_slices = (0..opts.t_slices).all(|si| {
-                        let mut o = opts.clone();
-                        o.pvt.t_lo = opts.pvt.t_lo + width * si as f64;
-                        o.pvt.t_hi = (o.pvt.t_lo + width).min(opts.pvt.t_hi);
-                        let slice_boxes = enclosure_fixpoint(nl, &tc, &o);
-                        prove_at(&tc, &o, &slice_boxes).is_some()
+                None => {
+                    let width = (opts.pvt.t_hi - opts.pvt.t_lo) / T_SLICES as f64;
+                    let all_slices = (0..T_SLICES).all(|si| {
+                        let mut pvt = opts.pvt;
+                        pvt.t_lo = opts.pvt.t_lo + width * si as f64;
+                        pvt.t_hi = (pvt.t_lo + width).min(opts.pvt.t_hi);
+                        let slice_boxes = enclosure_fixpoint(&kcl, &tc, &pvt);
+                        prove_at(&tc, &pvt, &slice_boxes).is_some()
                     });
                     if all_slices {
                         strongest = 3;
@@ -329,7 +331,6 @@ pub fn certify(
                         verdict = Some(Verdict::Unproven { corner });
                     }
                 }
-                None => verdict = Some(Verdict::Unproven { corner }),
             }
         }
         for (h, b) in hull.iter_mut().zip(&boxes) {
@@ -353,7 +354,7 @@ pub fn certify(
         .into_iter()
         .map(|h| {
             let iv = h.expect("at least one corner ran");
-            iv.inflate(opts.solver_slack * (1.0 + iv.mag()))
+            iv.inflate(SOLVER_SLACK * (1.0 + iv.mag()))
         })
         .collect();
     debug_assert_eq!(solution.len(), nn + nl.branch_count());
@@ -580,202 +581,321 @@ fn structural_nonsingular(nl: &Netlist) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Enclosure fixpoint.
+// KCL topology and the interval KCL kernel.
 // ---------------------------------------------------------------------
 
-/// Interval of a node's box under a candidate assignment: the node
-/// under scrutiny is held at `at`, everything else at its current box.
-fn node_iv(boxes: &[Interval], node: Node, scrutiny: Node, at: Interval) -> Interval {
-    if node == scrutiny {
-        at
-    } else if node.is_ground() {
+/// Interval of `node`'s box (`[0, 0]` for ground).
+fn node_box(boxes: &[Interval], node: Node) -> Interval {
+    if node.is_ground() {
         Interval::ZERO
     } else {
         boxes[node.index() - 1]
     }
 }
 
-/// Interval KCL residual of a *cut*: the total current leaving the
-/// node set `cut` (indexed by [`Node::index`]; ground is never a
-/// member) through every element crossing the cut boundary, plus the
-/// gmin of every member node, with `scrutiny` held at `at` and every
-/// other node at its box.
-///
-/// Elements entirely inside the cut cancel *exactly* and are skipped —
-/// this is the whole trick: summing KCL over a channel-connected
-/// component removes the MOS channel currents (whose interval
-/// evaluation blows up over wide boxes) from the residual, leaving the
-/// well-behaved boundary elements.
-///
-/// For every die in the box and every assignment inside the boxes, the
-/// die's true cut residual lies inside the returned interval. With
-/// `cut = {scrutiny}` this degenerates to the nodal KCL residual.
-#[allow(clippy::too_many_arguments)] // one parameter per quantifier of the proof obligation
-fn cut_residual_iv(
-    nl: &Netlist,
-    tech: &Technology,
-    pvt: &PvtBox,
-    gmin: f64,
-    boxes: &[Interval],
-    cut: &[bool],
-    scrutiny: Node,
-    at: Interval,
-) -> Interval {
-    let bx = |n: Node| node_iv(boxes, n, scrutiny, at);
-    let memb = |n: Node| cut[n.index()];
-    let mut sum = Interval::ZERO;
-    for (i, inside) in cut.iter().enumerate().skip(1) {
-        if *inside {
-            sum = sum + bx(Node(i)).scale(gmin);
-        }
-    }
-    for e in nl.elements() {
-        match e {
-            Element::Resistor { a, b, ohms, .. } => {
-                if memb(*a) == memb(*b) {
-                    continue;
-                }
-                let i = (bx(*a) - bx(*b)).scale(1.0 / ohms);
-                sum = if memb(*a) { sum + i } else { sum - i };
-            }
-            // Open at DC.
-            Element::Capacitor { .. } => {}
-            // Branch elements are handled by pinning / branch-current
-            // recovery, never by the residual; cut eligibility keeps
-            // them off the boundary during narrowing.
-            Element::Vsource { .. } | Element::Vcvs { .. } => {}
-            Element::Isource { p, n, wave, .. } => {
-                let i = wave.at(0.0);
-                if memb(*p) {
-                    sum = sum + Interval::point(i);
-                }
-                if memb(*n) {
-                    sum = sum - Interval::point(i);
-                }
-            }
-            Element::Vccs { p, n, cp, cn, gm, .. } => {
-                if memb(*p) == memb(*n) {
-                    continue;
-                }
-                let ctl = (bx(*cp) - bx(*cn)).scale(*gm);
-                sum = if memb(*p) { sum + ctl } else { sum - ctl };
-            }
-            Element::Diode {
-                p, n, is_sat, n_id, ..
-            } => {
-                if memb(*p) == memb(*n) {
-                    continue;
-                }
-                let vt = pvt.thermal_voltage_iv().scale(*n_id);
-                let arg = (bx(*p) - bx(*n))
-                    .checked_div(vt)
-                    .expect("thermal voltage box is strictly positive")
-                    .min_with(40.0);
-                let i = (arg.exp() - Interval::point(1.0)).scale(*is_sat);
-                sum = if memb(*p) { sum + i } else { sum - i };
-            }
-            Element::Mos { d, g, s, b, dev, .. } => {
-                let coeff = memb(*d) as i32 - memb(*s) as i32;
-                if coeff == 0 {
-                    continue;
-                }
-                let vb = bx(*b);
-                let op = dev.operating_point_iv(
-                    tech,
-                    pvt,
-                    bx(*g) - vb,
-                    bx(*s) - vb,
-                    bx(*d) - vb,
-                );
-                let i_dt = match dev.polarity {
-                    Polarity::Nmos => op.id,
-                    Polarity::Pmos => -op.id,
-                };
-                sum = sum + i_dt.scale(coeff as f64);
-            }
-            Element::SclLoad { a, b, load, iss, .. } => {
-                if memb(*a) == memb(*b) {
-                    continue;
-                }
-                let i = load.current_iv(bx(*a) - bx(*b), *iss);
-                sum = if memb(*a) { sum + i } else { sum - i };
-            }
-        }
-    }
-    sum
+/// Whether `node` is one of `members` (sorted node indices).
+fn member(members: &[usize], node: Node) -> bool {
+    members.binary_search(&node.index()).is_ok()
 }
 
-/// Whether the cut residual is provably non-decreasing in `scrutiny`'s
-/// voltage for every die (the precondition of monotone bisection):
-///
-/// * no voltage-defined branch may cross the boundary (its current is
-///   an extra unknown in the cut's KCL);
-/// * no crossing VCCS may be controlled by a cut member (its current
-///   is not monotone in the control voltage's sign context);
-/// * a crossing MOS channel must not see `scrutiny` on its gate while
-///   only the source is inside (`∂(−I_D)/∂V_G = −g_m ≤ 0`; every other
-///   terminal combination is non-decreasing, including diode-connected
-///   gates via the EKV slope factor `n > 1`), nor on its bulk unless
-///   the bulk rides a channel terminal.
-fn cut_eligible(nl: &Netlist, cut: &[bool], scrutiny: Node) -> bool {
-    let memb = |n: Node| cut[n.index()];
-    for e in nl.elements() {
-        match e {
-            Element::Vsource { p, n, .. } | Element::Vcvs { p, n, .. }
-                if memb(*p) || memb(*n) =>
-            {
-                return false;
+/// A node set the enclosure fixpoint narrows `node` through: its
+/// interval KCL residual is provably non-decreasing in `node`'s
+/// voltage.
+struct Cut {
+    node: Node,
+    /// Member node indices, sorted (the gmin terms sum in this order).
+    members: Vec<usize>,
+    /// The members' incident elements, in element order.
+    elems: Vec<usize>,
+}
+
+/// Where [`Kcl::residual`] takes MOS channel currents from.
+#[derive(Clone, Copy)]
+enum Channels<'a> {
+    /// The device envelope of this corner card over the terminal boxes.
+    Envelope(&'a Technology),
+    /// The running drain-terminal bounds, indexed by element, leaving
+    /// out every element `skip` selects.
+    Bounds {
+        dt: &'a [Option<Interval>],
+        skip: &'a dyn Fn(usize) -> bool,
+    },
+}
+
+/// The netlist's DC current topology, built once per [`certify`]: the
+/// elements each node's KCL sums over and the cuts the enclosure
+/// fixpoint narrows through. Both depend on the topology alone, so
+/// every corner and temperature slice shares them, and every KCL sum
+/// costs the degree of its nodes rather than the size of the netlist.
+struct Kcl<'a> {
+    nl: &'a Netlist,
+    /// Per node (by [`Node::index`]), the elements whose DC current
+    /// enters or leaves it, in element order: the two terminals of
+    /// every resistor, diode, STSCL load, source and VCCS output, and
+    /// the drain and source of every MOS channel (gates and bulks draw
+    /// no current, capacitors are open).
+    incident: Vec<Vec<usize>>,
+    /// The narrowing cuts, in narrowing order.
+    cuts: Vec<Cut>,
+}
+
+impl<'a> Kcl<'a> {
+    fn new(nl: &'a Netlist) -> Self {
+        let mut incident = vec![Vec::new(); nl.node_count()];
+        for (k, e) in nl.elements().iter().enumerate() {
+            let (p, n) = match e {
+                Element::Resistor { a, b, .. } | Element::SclLoad { a, b, .. } => (a, b),
+                Element::Vsource { p, n, .. }
+                | Element::Vcvs { p, n, .. }
+                | Element::Vccs { p, n, .. }
+                | Element::Isource { p, n, .. }
+                | Element::Diode { p, n, .. } => (p, n),
+                Element::Mos { d, s, .. } => (d, s),
+                Element::Capacitor { .. } => continue,
+            };
+            incident[p.index()].push(k);
+            if n != p {
+                incident[n.index()].push(k);
             }
-            Element::Vccs { p, n, cp, cn, .. }
-                if memb(*p) != memb(*n) && (memb(*cp) || memb(*cn)) =>
-            {
-                return false;
+        }
+        let mut kcl = Kcl {
+            nl,
+            incident,
+            cuts: Vec::new(),
+        };
+        // Each node is narrowed through every eligible cut that
+        // contains it: its MOS channel-connected component (which
+        // cancels the channel currents out of the residual — essential
+        // for source-coupled pairs, where the nodal residuals of the
+        // drain and tail nodes stay sign-indefinite as long as the
+        // *other* node is wide) and its singleton cut (plain nodal KCL).
+        for t in 1..nl.node_count() {
+            let comp = kcl.channel_component(t);
+            if comp.len() > 1 {
+                kcl.push_cut(Node(t), comp);
             }
+            kcl.push_cut(Node(t), vec![t]);
+        }
+        kcl
+    }
+
+    /// The nodes reachable from node index `node` through MOS
+    /// drain–source channels (ground acts as a barrier), sorted.
+    fn channel_component(&self, node: usize) -> Vec<usize> {
+        let mut comp = vec![node];
+        let mut next = 0;
+        while let Some(&x) = comp.get(next) {
+            next += 1;
+            for &k in &self.incident[x] {
+                if let Element::Mos { d, s, .. } = &self.nl.elements()[k] {
+                    let y = if d.index() == x { *s } else { *d };
+                    if !y.is_ground() && !comp.contains(&y.index()) {
+                        comp.push(y.index());
+                    }
+                }
+            }
+        }
+        comp.sort_unstable();
+        comp
+    }
+
+    /// Adds the cut of `members` narrowing `node` when its residual is
+    /// provably non-decreasing in `node`'s voltage for every die (the
+    /// precondition of monotone bisection):
+    ///
+    /// * no voltage-defined branch may touch the cut (its current is an
+    ///   extra unknown in the cut's KCL);
+    /// * no crossing VCCS may be controlled by a cut member (its current
+    ///   is not monotone in the control voltage's sign context);
+    /// * a crossing MOS channel must not see `node` on its gate while
+    ///   only the source is inside (`∂(−I_D)/∂V_G = −g_m ≤ 0`; every
+    ///   other terminal combination is non-decreasing, including
+    ///   diode-connected gates via the EKV slope factor `n > 1`), nor on
+    ///   its bulk unless the bulk rides a channel terminal.
+    fn push_cut(&mut self, node: Node, members: Vec<usize>) {
+        let mut elems: Vec<usize> = members
+            .iter()
+            .flat_map(|&m| self.incident[m].iter().copied())
+            .collect();
+        elems.sort_unstable();
+        elems.dedup();
+        let memb = |n: Node| member(&members, n);
+        let eligible = elems.iter().all(|&k| match &self.nl.elements()[k] {
+            Element::Vsource { .. } | Element::Vcvs { .. } => false,
+            Element::Vccs { p, n, cp, cn, .. } => memb(*p) == memb(*n) || !(memb(*cp) || memb(*cn)),
             Element::Mos { d, g, s, b, .. } => {
                 let coeff = memb(*d) as i32 - memb(*s) as i32;
-                if coeff == 0 {
+                let gate_against = *g == node && coeff == -1 && *s != node;
+                let bulk_alone = *b == node && *d != node && *s != node;
+                coeff == 0 || !(gate_against || bulk_alone)
+            }
+            _ => true,
+        });
+        if eligible {
+            self.cuts.push(Cut {
+                node,
+                members,
+                elems,
+            });
+        }
+    }
+
+    /// Interval KCL residual of the node set `members` (sorted node
+    /// indices; ground is never a member) over `elems`, the set's
+    /// incident elements in element order: the total current leaving
+    /// the set through every element crossing its boundary, plus the
+    /// gmin of every member, with node voltages read from `bx`.
+    ///
+    /// Elements entirely inside the set cancel *exactly* and are
+    /// skipped — this is the whole trick: summing KCL over a
+    /// channel-connected component removes the MOS channel currents
+    /// (whose interval evaluation blows up over wide boxes) from the
+    /// residual, leaving the well-behaved boundary elements. Voltage
+    /// branches never enter: their currents are recovered from this
+    /// residual, and cut eligibility keeps them off a narrowing
+    /// boundary.
+    ///
+    /// For every die in the box and every assignment inside the boxes,
+    /// the die's true residual lies inside the returned interval. An
+    /// envelope sum starts from zero and adds the members' gmin terms
+    /// in node order; a bound sum is one node's, `[t]`, and starts at
+    /// its gmin term — the identity behind current refinement: at any
+    /// die's solution, the skipped elements' total current at `t`
+    /// equals minus the sum.
+    fn residual(
+        &self,
+        pvt: &PvtBox,
+        bx: impl Fn(Node) -> Interval,
+        members: &[usize],
+        elems: &[usize],
+        channels: Channels<'_>,
+    ) -> Interval {
+        let memb = |n: Node| member(members, n);
+        let mut sum = match channels {
+            Channels::Envelope(_) => members
+                .iter()
+                .fold(Interval::ZERO, |sum, &m| sum + bx(Node(m)).scale(GMIN)),
+            Channels::Bounds { .. } => bx(Node(members[0])).scale(GMIN),
+        };
+        for &k in elems {
+            if let Channels::Bounds { skip, .. } = channels {
+                if skip(k) {
                     continue;
                 }
-                if *g == scrutiny && coeff == -1 && *s != scrutiny {
-                    return false;
-                }
-                if *b == scrutiny && *d != scrutiny && *s != scrutiny {
-                    return false;
-                }
             }
-            _ => {}
+            match &self.nl.elements()[k] {
+                Element::Isource { p, n, wave, .. } => {
+                    let i = Interval::point(wave.at(0.0));
+                    if memb(*p) {
+                        sum = sum + i;
+                    }
+                    if memb(*n) {
+                        sum = sum - i;
+                    }
+                }
+                Element::Mos { d, g, s, b, dev, .. } => {
+                    let coeff = memb(*d) as i32 - memb(*s) as i32;
+                    if coeff == 0 {
+                        continue;
+                    }
+                    let i_dt = match channels {
+                        Channels::Envelope(tech) => {
+                            let vb = bx(*b);
+                            let op = dev.operating_point_iv(
+                                tech,
+                                pvt,
+                                bx(*g) - vb,
+                                bx(*s) - vb,
+                                bx(*d) - vb,
+                            );
+                            match dev.polarity {
+                                Polarity::Nmos => op.id,
+                                Polarity::Pmos => -op.id,
+                            }
+                        }
+                        Channels::Bounds { dt, .. } => {
+                            dt[k].expect("terminal-current bound prefilled for every MOS")
+                        }
+                    };
+                    sum = sum + i_dt.scale(coeff as f64);
+                }
+                e @ (Element::Resistor { a: p, b: n, .. }
+                | Element::Vccs { p, n, .. }
+                | Element::Diode { p, n, .. }
+                | Element::SclLoad { a: p, b: n, .. }) => {
+                    if memb(*p) == memb(*n) {
+                        continue;
+                    }
+                    // The current from `p` to `n`.
+                    let i = match e {
+                        Element::Resistor { ohms, .. } => (bx(*p) - bx(*n)).scale(1.0 / ohms),
+                        Element::Vccs { cp, cn, gm, .. } => (bx(*cp) - bx(*cn)).scale(*gm),
+                        Element::Diode { is_sat, n_id, .. } => {
+                            let vt = pvt.thermal_voltage_iv().scale(*n_id);
+                            let arg = (bx(*p) - bx(*n))
+                                .checked_div(vt)
+                                .expect("thermal voltage box is strictly positive")
+                                .min_with(40.0);
+                            (arg.exp() - Interval::point(1.0)).scale(*is_sat)
+                        }
+                        Element::SclLoad { load, iss, .. } => {
+                            load.current_iv(bx(*p) - bx(*n), *iss)
+                        }
+                        _ => unreachable!("matched a one-port above"),
+                    };
+                    sum = if memb(*p) { sum + i } else { sum - i };
+                }
+                Element::Capacitor { .. } | Element::Vsource { .. } | Element::Vcvs { .. } => {}
+            }
         }
+        sum
     }
-    true
+
+    /// Interval sum of all out-currents at `t` over the boxes, MOS
+    /// channels from the running terminal-current bounds `dt`, leaving
+    /// out the elements `skip` selects (by element index). `None` when
+    /// `t` is ground or carries a voltage-defined branch (whose current
+    /// is not interval-computable from the boxes).
+    fn node_rest(
+        &self,
+        pvt: &PvtBox,
+        boxes: &[Interval],
+        t: Node,
+        dt: &[Option<Interval>],
+        skip: &dyn Fn(usize) -> bool,
+    ) -> Option<Interval> {
+        if t.is_ground() {
+            return None;
+        }
+        let elems = &self.incident[t.index()];
+        if elems.iter().any(|&k| self.nl.elements()[k].has_branch()) {
+            return None;
+        }
+        let channels = Channels::Bounds { dt, skip };
+        Some(self.residual(pvt, |n| node_box(boxes, n), &[t.index()], elems, channels))
+    }
 }
 
-/// The set of nodes reachable from `node` through MOS drain–source
-/// channels (ground acts as a barrier), as a membership mask indexed
-/// by [`Node::index`].
-fn channel_component(nl: &Netlist, node: Node) -> Vec<bool> {
-    let mut mask = vec![false; nl.node_count()];
-    if node.is_ground() {
-        return mask;
-    }
-    mask[node.index()] = true;
-    loop {
-        let mut grew = false;
-        for e in nl.elements() {
-            let Element::Mos { d, s, .. } = e else {
-                continue;
-            };
-            for (x, y) in [(*d, *s), (*s, *d)] {
-                if !x.is_ground() && !y.is_ground() && mask[x.index()] && !mask[y.index()] {
-                    mask[y.index()] = true;
-                    grew = true;
-                }
-            }
-        }
-        if !grew {
+// ---------------------------------------------------------------------
+// Enclosure fixpoint.
+// ---------------------------------------------------------------------
+
+/// Binary search of `[a, b]` for the point where `below` stops holding,
+/// given that it holds at `a` and fails at `b`: the final bracket after
+/// at most [`BISECT_STEPS`] halvings.
+fn bisect(mut a: f64, mut b: f64, below: impl Fn(f64) -> bool) -> (f64, f64) {
+    for _ in 0..BISECT_STEPS {
+        let m = 0.5 * (a + b);
+        if m <= a || m >= b {
             break;
         }
+        if below(m) {
+            a = m;
+        } else {
+            b = m;
+        }
     }
-    mask
+    (a, b)
 }
 
 /// One sound narrowing pass of source pinning: every voltage-defined
@@ -794,36 +914,21 @@ fn pin_sources(nl: &Netlist, boxes: &mut [Interval]) {
             Element::Vcvs {
                 p, n, cp, cn, gain, ..
             } => {
-                let bx = |node: Node| {
-                    if node.is_ground() {
-                        Interval::ZERO
-                    } else {
-                        boxes[node.index() - 1]
-                    }
-                };
-                (*p, *n, (bx(*cp) - bx(*cn)).scale(*gain))
+                let ctl = node_box(boxes, *cp) - node_box(boxes, *cn);
+                (*p, *n, ctl.scale(*gain))
             }
             _ => continue,
         };
-        let bn = if n.is_ground() {
-            Interval::ZERO
-        } else {
-            boxes[n.index() - 1]
-        };
-        tighten(boxes, p, bn + v);
-        let bp = if p.is_ground() {
-            Interval::ZERO
-        } else {
-            boxes[p.index() - 1]
-        };
-        tighten(boxes, n, bp - v);
+        tighten(boxes, p, node_box(boxes, n) + v);
+        tighten(boxes, n, node_box(boxes, p) - v);
     }
 }
 
-/// Runs the pinning + monotone-bisection fixpoint at one corner and
-/// recovers branch currents; returns the full unknown-vector enclosure
-/// (uninflated).
-fn enclosure_fixpoint(nl: &Netlist, tech: &Technology, opts: &CertifyOptions) -> Vec<Interval> {
+/// Runs the pinning + monotone-bisection fixpoint at one corner card
+/// over `pvt` and recovers branch currents; returns the full
+/// unknown-vector enclosure (uninflated).
+fn enclosure_fixpoint(kcl: &Kcl<'_>, tech: &Technology, pvt: &PvtBox) -> Vec<Interval> {
+    let nl = kcl.nl;
     let nn = nl.node_count() - 1;
     let mut src_span = 0.0f64;
     for e in nl.elements() {
@@ -831,92 +936,47 @@ fn enclosure_fixpoint(nl: &Netlist, tech: &Technology, opts: &CertifyOptions) ->
             src_span = src_span.max(wave.at(0.0).abs());
         }
     }
-    let span = src_span + opts.v_limit;
+    let span = src_span + V_LIMIT;
     let mut boxes = vec![Interval::new(-span, span); nn];
 
-    // Each node is narrowed through every eligible cut that contains
-    // it: its singleton cut (plain nodal KCL) and its MOS
-    // channel-connected component (which cancels the channel currents
-    // out of the residual — essential for source-coupled pairs, where
-    // the nodal residuals of the drain and tail nodes stay
-    // sign-indefinite as long as the *other* node is wide).
-    let mut narrowers: Vec<(usize, Vec<bool>)> = Vec::new();
-    for i in 0..nn {
-        let node = Node(i + 1);
-        let mut single = vec![false; nl.node_count()];
-        single[i + 1] = true;
-        let comp = channel_component(nl, node);
-        if comp.iter().filter(|&&m| m).count() > 1 && cut_eligible(nl, &comp, node) {
-            narrowers.push((i, comp));
-        }
-        if cut_eligible(nl, &single, node) {
-            narrowers.push((i, single));
-        }
-    }
-
-    for _ in 0..opts.sweeps.max(1) {
+    for _ in 0..SWEEPS {
         // Two pinning passes let Vcvs chains settle within a sweep.
         pin_sources(nl, &mut boxes);
         pin_sources(nl, &mut boxes);
-        for (i, cut) in &narrowers {
-            let i = *i;
-            let node = Node(i + 1);
-            let f = |boxes: &[Interval], v: f64| {
-                cut_residual_iv(
-                    nl,
-                    tech,
-                    &opts.pvt,
-                    opts.gmin,
-                    boxes,
-                    cut,
-                    node,
-                    Interval::point(v),
-                )
+        for cut in &kcl.cuts {
+            let i = cut.node.index() - 1;
+            let f = |v: f64| {
+                let at = Interval::point(v);
+                let bx = |n: Node| {
+                    if n == cut.node {
+                        at
+                    } else {
+                        node_box(&boxes, n)
+                    }
+                };
+                kcl.residual(pvt, bx, &cut.members, &cut.elems, Channels::Envelope(tech))
             };
+            // Proved negative (positive) for every die.
+            let neg = |r: Interval| r.hi() < 0.0;
+            let pos = |r: Interval| r.lo() > 0.0;
             let (lo, hi) = (boxes[i].lo(), boxes[i].hi());
+            let (f_lo, f_hi) = (f(lo), f(hi));
             // Raise the lower bound to the largest point proved
-            // negative for every die.
-            let mut new_lo = lo;
-            if f(&boxes, lo).hi() < 0.0 {
-                if f(&boxes, hi).hi() < 0.0 {
-                    new_lo = hi;
-                } else {
-                    let (mut a, mut b) = (lo, hi);
-                    for _ in 0..opts.bisect_steps {
-                        let m = 0.5 * (a + b);
-                        if m <= a || m >= b {
-                            break;
-                        }
-                        if f(&boxes, m).hi() < 0.0 {
-                            a = m;
-                        } else {
-                            b = m;
-                        }
-                    }
-                    new_lo = a;
-                }
-            }
-            // Lower the upper bound symmetrically.
-            let mut new_hi = hi;
-            if f(&boxes, hi).lo() > 0.0 {
-                if f(&boxes, lo).lo() > 0.0 {
-                    new_hi = lo;
-                } else {
-                    let (mut a, mut b) = (lo, hi);
-                    for _ in 0..opts.bisect_steps {
-                        let m = 0.5 * (a + b);
-                        if m <= a || m >= b {
-                            break;
-                        }
-                        if f(&boxes, m).lo() > 0.0 {
-                            b = m;
-                        } else {
-                            a = m;
-                        }
-                    }
-                    new_hi = b;
-                }
-            }
+            // negative, and lower the upper bound symmetrically.
+            let new_lo = if !neg(f_lo) {
+                lo
+            } else if neg(f_hi) {
+                hi
+            } else {
+                bisect(lo, hi, |m| neg(f(m))).0
+            };
+            let new_hi = if !pos(f_hi) {
+                hi
+            } else if pos(f_lo) {
+                lo
+            } else {
+                bisect(lo, hi, |m| !pos(f(m))).1
+            };
             if new_lo <= new_hi {
                 boxes[i] = Interval::new(new_lo, new_hi);
             }
@@ -930,18 +990,9 @@ fn enclosure_fixpoint(nl: &Netlist, tech: &Technology, opts: &CertifyOptions) ->
     // (e.g. a common-mode source feeding the reference terminals of
     // two VCVSs resolves once both VCVS currents are known).
     let nodal = |t: Node| {
-        let mut single = vec![false; nl.node_count()];
-        single[t.index()] = true;
-        cut_residual_iv(
-            nl,
-            tech,
-            &opts.pvt,
-            opts.gmin,
-            &boxes,
-            &single,
-            t,
-            boxes[t.index() - 1],
-        )
+        let bx = |n: Node| node_box(&boxes, n);
+        let elems = &kcl.incident[t.index()];
+        kcl.residual(pvt, bx, &[t.index()], elems, Channels::Envelope(tech))
     };
     let branches: Vec<(Node, Node)> = nl
         .elements()
@@ -1012,157 +1063,12 @@ fn enclosure_fixpoint(nl: &Netlist, tech: &Technology, opts: &CertifyOptions) ->
 // Interval Jacobian.
 // ---------------------------------------------------------------------
 
-struct IvStamper<'m> {
-    a: &'m mut Matrix<Interval>,
-}
-
-impl IvStamper<'_> {
-    fn idx(node: Node) -> Option<usize> {
-        if node.is_ground() {
-            None
-        } else {
-            Some(node.index() - 1)
-        }
-    }
-
-    fn conductance(&mut self, p: Node, n: Node, g: Interval) {
-        if let Some(i) = Self::idx(p) {
-            self.a.add_at(i, i, g);
-            if let Some(j) = Self::idx(n) {
-                self.a.add_at(i, j, -g);
-            }
-        }
-        if let Some(j) = Self::idx(n) {
-            self.a.add_at(j, j, g);
-            if let Some(i) = Self::idx(p) {
-                self.a.add_at(j, i, -g);
-            }
-        }
-    }
-
-    fn transconductance(&mut self, p: Node, n: Node, cp: Node, cn: Node, gm: Interval) {
-        for (out, sign) in [(p, 1.0), (n, -1.0)] {
-            if let Some(r) = Self::idx(out) {
-                if let Some(c) = Self::idx(cp) {
-                    self.a.add_at(r, c, gm.scale(sign));
-                }
-                if let Some(c) = Self::idx(cn) {
-                    self.a.add_at(r, c, -gm.scale(sign));
-                }
-            }
-        }
-    }
-}
-
-/// Interval sum of all out-currents at `t` over the boxes, excluding
-/// the elements `skip` selects (by element index); MOS channel
-/// currents come from the running terminal-current bounds `dt`.
-/// `None` when `t` is ground or carries a voltage-defined branch
-/// (whose current is not interval-computable from the boxes).
-///
-/// This is the KCL identity backing current refinement: at any die's
-/// solution, the skipped elements' total current at `t` equals minus
-/// the returned interval.
-fn node_rest_iv(
-    nl: &Netlist,
-    pvt: &PvtBox,
-    gmin: f64,
-    boxes: &[Interval],
-    t: Node,
-    dt: &[Option<Interval>],
-    skip: &dyn Fn(usize) -> bool,
-) -> Option<Interval> {
-    if t.is_ground() {
-        return None;
-    }
-    let adjacent_branch = nl.elements().iter().any(|e| {
-        matches!(e, Element::Vsource { p, n, .. } | Element::Vcvs { p, n, .. }
-            if *p == t || *n == t)
-    });
-    if adjacent_branch {
-        return None;
-    }
-    let bx = |n: Node| {
-        if n.is_ground() {
-            Interval::ZERO
-        } else {
-            boxes[n.index() - 1]
-        }
-    };
-    let mut sum = bx(t).scale(gmin);
-    for (k, e) in nl.elements().iter().enumerate() {
-        if skip(k) {
-            continue;
-        }
-        match e {
-            Element::Resistor { a, b, ohms, .. } => {
-                if a == b || (*a != t && *b != t) {
-                    continue;
-                }
-                let i = (bx(*a) - bx(*b)).scale(1.0 / ohms);
-                sum = if *a == t { sum + i } else { sum - i };
-            }
-            Element::Capacitor { .. } | Element::Vsource { .. } | Element::Vcvs { .. } => {}
-            Element::Isource { p, n, wave, .. } => {
-                let i = wave.at(0.0);
-                if *p == t {
-                    sum = sum + Interval::point(i);
-                }
-                if *n == t {
-                    sum = sum - Interval::point(i);
-                }
-            }
-            Element::Vccs { p, n, cp, cn, gm, .. } => {
-                if *p == *n || (*p != t && *n != t) {
-                    continue;
-                }
-                let ctl = (bx(*cp) - bx(*cn)).scale(*gm);
-                if *p == t {
-                    sum = sum + ctl;
-                }
-                if *n == t {
-                    sum = sum - ctl;
-                }
-            }
-            Element::Diode {
-                p, n, is_sat, n_id, ..
-            } => {
-                if p == n || (*p != t && *n != t) {
-                    continue;
-                }
-                let vt = pvt.thermal_voltage_iv().scale(*n_id);
-                let arg = (bx(*p) - bx(*n))
-                    .checked_div(vt)
-                    .expect("thermal voltage box is strictly positive")
-                    .min_with(40.0);
-                let i = (arg.exp() - Interval::point(1.0)).scale(*is_sat);
-                sum = if *p == t { sum + i } else { sum - i };
-            }
-            Element::Mos { d, s, .. } => {
-                let coeff = (*d == t) as i32 - (*s == t) as i32;
-                if coeff == 0 {
-                    continue;
-                }
-                let i_dt = dt[k].expect("terminal-current bound prefilled for every MOS");
-                sum = sum + i_dt.scale(coeff as f64);
-            }
-            Element::SclLoad { a, b, load, iss, .. } => {
-                if a == b || (*a != t && *b != t) {
-                    continue;
-                }
-                let i = load.current_iv(bx(*a) - bx(*b), *iss);
-                sum = if *a == t { sum + i } else { sum - i };
-            }
-        }
-    }
-    Some(sum)
-}
-
 /// Stamps the interval DC Jacobian over the node-voltage boxes,
-/// mirroring [`crate::mna::MnaWorkspace::assemble`] stamp for stamp (same
-/// conductance floors, same branch rows, same gmin) so the concrete
-/// Jacobian of any die *at its enclosed operating point* is a member
-/// matrix.
+/// mirroring [`crate::mna::MnaWorkspace::assemble`] stamp for stamp:
+/// the same static layout ([`static_stamps`]: gmin, R, V, E and G, with
+/// capacitors open), the same device quads and conductance floors — so
+/// the concrete Jacobian of any die *at its enclosed operating point* is
+/// a member matrix.
 ///
 /// MOS stamps are refined with KCL-consistent current bounds: at any
 /// die's solution, a device's terminal current is pinned by the other
@@ -1175,24 +1081,16 @@ fn node_rest_iv(
 /// `ratio_min·ΣI_D/U_T`, and `ΣI_D` is the (narrow) tail-cut current,
 /// even though no per-device split of it is known.
 fn interval_jacobian(
-    nl: &Netlist,
+    kcl: &Kcl<'_>,
     tech: &Technology,
-    opts: &CertifyOptions,
+    pvt: &PvtBox,
     boxes: &[Interval],
 ) -> Matrix<Interval> {
+    let nl = kcl.nl;
     let nn = nl.node_count() - 1;
     let dim = nl.unknown_count();
-    let mut a = Matrix::zeros(dim, dim);
-    let bx = |node: Node| {
-        if node.is_ground() {
-            Interval::ZERO
-        } else {
-            boxes[node.index() - 1]
-        }
-    };
-    for i in 0..nn {
-        a.add_at(i, i, Interval::point(opts.gmin));
-    }
+    let mut jac = Matrix::zeros(dim, dim);
+    let bx = |node: Node| node_box(boxes, node);
 
     // Terminal-current bounds per MOS (drain-terminal sign), seeded
     // from the box envelope and tightened by the KCL identities at the
@@ -1208,8 +1106,7 @@ fn interval_jacobian(
         .map(|e| match e {
             Element::Mos { d, g, s, b, dev, .. } => {
                 let vb = bx(*b);
-                let op =
-                    dev.operating_point_iv(tech, &opts.pvt, bx(*g) - vb, bx(*s) - vb, bx(*d) - vb);
+                let op = dev.operating_point_iv(tech, pvt, bx(*g) - vb, bx(*s) - vb, bx(*d) - vb);
                 Some(op.id.scale(sigma(dev)))
             }
             _ => None,
@@ -1220,72 +1117,33 @@ fn interval_jacobian(
             let Element::Mos { d, s, .. } = &nl.elements()[k] else {
                 continue;
             };
-            let (d, s) = (*d, *s);
             if d == s {
                 continue;
             }
             let mut bound = dt[k].expect("seeded above");
-            if let Some(r) =
-                node_rest_iv(nl, &opts.pvt, opts.gmin, boxes, d, &dt, &|i| i == k)
-            {
+            let this = |i| i == k;
+            if let Some(r) = kcl.node_rest(pvt, boxes, *d, &dt, &this) {
                 bound = bound.intersect(-r).unwrap_or(bound);
             }
-            if let Some(r) =
-                node_rest_iv(nl, &opts.pvt, opts.gmin, boxes, s, &dt, &|i| i == k)
-            {
+            if let Some(r) = kcl.node_rest(pvt, boxes, *s, &dt, &this) {
                 bound = bound.intersect(r).unwrap_or(bound);
             }
             dt[k] = Some(bound);
         }
     }
-    let one = Interval::point(1.0);
-    let mut st = IvStamper { a: &mut a };
-    let mut branch = nn;
+
+    static_stamps(nl, |r, c, kind, v| match kind {
+        StaticKind::Const => jac.add_at(r, c, Interval::point(v)),
+        StaticKind::Gmin => jac.add_at(r, c, Interval::point(GMIN)),
+        StaticKind::Cap => {}
+    });
+    let mut add = |r, c, g| jac.add_at(r, c, g);
     for (k, e) in nl.elements().iter().enumerate() {
         match e {
-            Element::Resistor { a, b, ohms, .. } => {
-                st.conductance(*a, *b, Interval::point(1.0 / ohms));
-            }
-            Element::Capacitor { .. } | Element::Isource { .. } => {}
-            Element::Vsource { p, n, .. } => {
-                let rb = branch;
-                branch += 1;
-                if let Some(i) = IvStamper::idx(*p) {
-                    st.a.add_at(i, rb, one);
-                    st.a.add_at(rb, i, one);
-                }
-                if let Some(j) = IvStamper::idx(*n) {
-                    st.a.add_at(j, rb, -one);
-                    st.a.add_at(rb, j, -one);
-                }
-            }
-            Element::Vcvs {
-                p, n, cp, cn, gain, ..
-            } => {
-                let rb = branch;
-                branch += 1;
-                if let Some(i) = IvStamper::idx(*p) {
-                    st.a.add_at(i, rb, one);
-                    st.a.add_at(rb, i, one);
-                }
-                if let Some(j) = IvStamper::idx(*n) {
-                    st.a.add_at(j, rb, -one);
-                    st.a.add_at(rb, j, -one);
-                }
-                if let Some(c) = IvStamper::idx(*cp) {
-                    st.a.add_at(rb, c, Interval::point(-gain));
-                }
-                if let Some(c) = IvStamper::idx(*cn) {
-                    st.a.add_at(rb, c, Interval::point(*gain));
-                }
-            }
-            Element::Vccs { p, n, cp, cn, gm, .. } => {
-                st.transconductance(*p, *n, *cp, *cn, Interval::point(*gm));
-            }
             Element::Diode {
                 p, n, is_sat, n_id, ..
             } => {
-                let vt = opts.pvt.thermal_voltage_iv().scale(*n_id);
+                let vt = pvt.thermal_voltage_iv().scale(*n_id);
                 let arg = (bx(*p) - bx(*n))
                     .checked_div(vt)
                     .expect("thermal voltage box is strictly positive")
@@ -1295,19 +1153,20 @@ fn interval_jacobian(
                     .expect("thermal voltage box is strictly positive")
                     * arg.exp())
                 .max_with(1e-18);
-                st.conductance(*p, *n, g);
+                add_quad([*p, *n, *p, *n], g, &mut add);
             }
             Element::Mos { d, g, s, b, dev, .. } => {
                 let vb = bx(*b);
                 let id_bound = dt[k].expect("seeded above").scale(sigma(dev));
                 let op = dev.operating_point_iv_bounded(
                     tech,
-                    &opts.pvt,
+                    pvt,
                     bx(*g) - vb,
                     bx(*s) - vb,
                     bx(*d) - vb,
                     id_bound,
                 );
+                let [qg, qs, qd] = mos_quads(*d, *g, *s, *b);
                 if d == g && d != s {
                     // Diode-connected: the gm and gds stamps land on
                     // identical positions, so stamp their sum once —
@@ -1315,25 +1174,31 @@ fn interval_jacobian(
                     // which stays strictly positive where the
                     // decorrelated `gm` envelope dips negative.
                     let raw = op.gm + op.gds;
-                    let floor =
-                        dev.diode_conductance_floor(tech, &opts.pvt, bx(*d) - vb, bx(*s) - vb);
+                    let floor = dev.diode_conductance_floor(tech, pvt, bx(*d) - vb, bx(*s) - vb);
                     let gtot = if floor > raw.lo() && floor <= raw.hi() {
                         Interval::new(floor, raw.hi())
                     } else {
                         raw
                     };
-                    st.transconductance(*d, *s, *d, *b, gtot);
-                    st.transconductance(*d, *s, *s, *b, op.gms);
+                    add_quad(qd, gtot, &mut add);
+                    add_quad(qs, op.gms, &mut add);
                 } else {
-                    st.transconductance(*d, *s, *g, *b, op.gm);
-                    st.transconductance(*d, *s, *s, *b, op.gms);
-                    st.transconductance(*d, *s, *d, *b, op.gds);
+                    add_quad(qg, op.gm, &mut add);
+                    add_quad(qs, op.gms, &mut add);
+                    add_quad(qd, op.gds, &mut add);
                 }
             }
-            Element::SclLoad { a, b, load, iss, .. } => {
-                let g = load.conductance_iv(bx(*a) - bx(*b), *iss).max_with(1e-18);
-                st.conductance(*a, *b, g);
+            Element::SclLoad {
+                a: p,
+                b: n,
+                load,
+                iss,
+                ..
+            } => {
+                let g = load.conductance_iv(bx(*p) - bx(*n), *iss).max_with(1e-18);
+                add_quad([*p, *n, *p, *n], g, &mut add);
             }
+            _ => {}
         }
     }
 
@@ -1350,11 +1215,9 @@ fn interval_jacobian(
         let mut src: Vec<usize> = Vec::new();
         let mut drn: Vec<usize> = Vec::new();
         let mut sign_definite = true;
-        for (k, e) in nl.elements().iter().enumerate() {
-            match e {
-                Element::Vccs { p, n, cp, cn, .. }
-                    if (*p == tn || *n == tn) && (*cp == tn || *cn == tn) =>
-                {
+        for &k in &kcl.incident[t] {
+            match &nl.elements()[k] {
+                Element::Vccs { cp, cn, .. } if *cp == tn || *cn == tn => {
                     sign_definite = false;
                 }
                 Element::Mos { d, g, s, b, .. } => {
@@ -1389,15 +1252,7 @@ fn interval_jacobian(
             continue;
         }
         let channel_at_t = |k: usize| src.contains(&k) || drn.contains(&k);
-        let Some(rest) = node_rest_iv(
-            nl,
-            &opts.pvt,
-            opts.gmin,
-            boxes,
-            tn,
-            &dt,
-            &channel_at_t,
-        ) else {
+        let Some(rest) = kcl.node_rest(pvt, boxes, tn, &dt, &channel_at_t) else {
             continue;
         };
         // KCL at the tail: Σ_src i_dt = Σ_drn i_dt + rest; project onto
@@ -1420,17 +1275,17 @@ fn interval_jacobian(
                 unreachable!("src holds MOS indices");
             };
             let vb = bx(*b);
-            let xf = dev.forward_injection_iv(tech, &opts.pvt, bx(*g) - vb, bx(*s) - vb);
+            let xf = dev.forward_injection_iv(tech, pvt, bx(*g) - vb, bx(*s) - vb);
             ratio_lo = ratio_lo.min(ulp_device::envelope::interp_ratio_iv(xf).lo());
         }
-        let ut_hi = opts.pvt.thermal_voltage_iv().hi();
-        let bound = opts.gmin + ratio_lo * l / ut_hi;
-        let diag = a[(t - 1, t - 1)];
+        let ut_hi = pvt.thermal_voltage_iv().hi();
+        let bound = GMIN + ratio_lo * l / ut_hi;
+        let diag = jac[(t - 1, t - 1)];
         if bound > diag.lo() && bound <= diag.hi() {
-            a[(t - 1, t - 1)] = Interval::new(bound, diag.hi());
+            jac[(t - 1, t - 1)] = Interval::new(bound, diag.hi());
         }
     }
-    a
+    jac
 }
 
 // ---------------------------------------------------------------------

@@ -11,7 +11,10 @@
 
 use crate::dcop::DcOperatingPoint;
 use crate::error::SimError;
-use crate::mna::{matrix_coords, require_unknowns, voltage_of, Backend, SolverKind};
+use crate::mna::{
+    add_quad, matrix_coords, mos_quads, require_unknowns, static_stamps, voltage_of, Backend,
+    SolverKind, StaticKind,
+};
 use crate::netlist::{Element, Netlist, Node};
 use crate::telemetry::{self, Event, Tracer};
 use std::time::Instant;
@@ -145,48 +148,16 @@ impl AcResult {
     }
 }
 
-fn cidx(node: Node) -> Option<usize> {
-    if node.is_ground() {
-        None
-    } else {
-        Some(node.index() - 1)
-    }
-}
-
-/// Stamps admittance `y` between `p` and `n`.
-fn admittance(a: &mut SparseMatrix<Complex>, p: Node, n: Node, y: Complex) {
-    if let Some(i) = cidx(p) {
-        a.add_at(i, i, y);
-        if let Some(j) = cidx(n) {
-            a.add_at(i, j, -y);
-        }
-    }
-    if let Some(j) = cidx(n) {
-        a.add_at(j, j, y);
-        if let Some(i) = cidx(p) {
-            a.add_at(j, i, -y);
-        }
-    }
-}
-
-/// Stamps a current `gm·(v(cp) − v(cn))` flowing from `p` to `n`.
-fn transconductance(a: &mut SparseMatrix<Complex>, p: Node, n: Node, cp: Node, cn: Node, gm: f64) {
-    for (out, sign) in [(p, 1.0), (n, -1.0)] {
-        if let Some(r) = cidx(out) {
-            if let Some(c) = cidx(cp) {
-                a.add_at(r, c, Complex::from_re(sign * gm));
-            }
-            if let Some(c) = cidx(cn) {
-                a.add_at(r, c, Complex::from_re(-sign * gm));
-            }
-        }
-    }
-}
+/// The AC system's gmin: 1 fS from every node to ground, which keeps a
+/// truly floating small-signal node solvable.
+const AC_SHUNT: f64 = 1e-15;
 
 /// Stamps the full small-signal system at `omega` about DC solution `x`
 /// into matrix `m` (over the [`matrix_coords`] pattern) and source
 /// vector `rhs` — the one small-signal stamper, shared by AC and noise
-/// analysis (which ignores `rhs`).
+/// analysis (which ignores `rhs`). The linear elements replay
+/// [`static_stamps`], capacitors as `jω·C`; the nonlinear ones stamp
+/// their conductances at `x` through [`add_quad`].
 pub(crate) fn stamp_ac(
     nl: &Netlist,
     tech: &Technology,
@@ -195,89 +166,54 @@ pub(crate) fn stamp_ac(
     m: &mut SparseMatrix<Complex>,
     rhs: &mut [Complex],
 ) {
-    let nn = nl.node_count() - 1;
-    // Tiny conductance to ground keeps truly floating small-signal nodes
-    // solvable.
-    for i in 0..nn {
-        m.add_at(i, i, Complex::from_re(1e-15));
-    }
-    let mut branch = nn;
+    static_stamps(nl, |r, c, kind, v| {
+        let y = match kind {
+            StaticKind::Const => Complex::from_re(v),
+            StaticKind::Gmin => Complex::from_re(AC_SHUNT),
+            StaticKind::Cap => Complex::new(0.0, omega * v),
+        };
+        m.add_at(r, c, y);
+    });
+    let mut add = |r, c, g: f64| m.add_at(r, c, Complex::from_re(g));
+    let mut branch = nl.node_count() - 1;
     for e in nl.elements() {
         match e {
-            Element::Resistor { a, b, ohms, .. } => {
-                admittance(m, *a, *b, Complex::from_re(1.0 / ohms));
-            }
-            Element::Capacitor { a, b, farads, .. } => {
-                admittance(m, *a, *b, Complex::new(0.0, omega * farads));
-            }
-            Element::Vsource { p, n, ac, .. } => {
-                let rb = branch;
-                branch += 1;
-                if let Some(i) = cidx(*p) {
-                    m.add_at(i, rb, Complex::ONE);
-                    m.add_at(rb, i, Complex::ONE);
-                }
-                if let Some(j) = cidx(*n) {
-                    m.add_at(j, rb, -Complex::ONE);
-                    m.add_at(rb, j, -Complex::ONE);
-                }
-                rhs[rb] = Complex::from_re(*ac);
-            }
+            Element::Vsource { ac, .. } => rhs[branch] = Complex::from_re(*ac),
             Element::Isource { p, n, ac, .. } => {
-                if let Some(r) = cidx(*p) {
-                    rhs[r] -= Complex::from_re(*ac);
+                if !p.is_ground() {
+                    rhs[p.index() - 1] -= Complex::from_re(*ac);
                 }
-                if let Some(r) = cidx(*n) {
-                    rhs[r] += Complex::from_re(*ac);
-                }
-            }
-            Element::Vcvs {
-                p, n, cp, cn, gain, ..
-            } => {
-                let rb = branch;
-                branch += 1;
-                if let Some(i) = cidx(*p) {
-                    m.add_at(i, rb, Complex::ONE);
-                    m.add_at(rb, i, Complex::ONE);
-                }
-                if let Some(j) = cidx(*n) {
-                    m.add_at(j, rb, -Complex::ONE);
-                    m.add_at(rb, j, -Complex::ONE);
-                }
-                if let Some(c) = cidx(*cp) {
-                    m.add_at(rb, c, Complex::from_re(-*gain));
-                }
-                if let Some(c) = cidx(*cn) {
-                    m.add_at(rb, c, Complex::from_re(*gain));
+                if !n.is_ground() {
+                    rhs[n.index() - 1] += Complex::from_re(*ac);
                 }
             }
-            Element::Vccs {
-                p, n, cp, cn, gm, ..
-            } => transconductance(m, *p, *n, *cp, *cn, *gm),
             Element::Diode {
                 p, n, is_sat, n_id, ..
             } => {
                 let v = voltage_of(x, *p) - voltage_of(x, *n);
                 let vt = n_id * tech.thermal_voltage();
                 let g = is_sat / vt * (v / vt).min(40.0).exp();
-                admittance(m, *p, *n, Complex::from_re(g.max(1e-18)));
+                add_quad([*p, *n, *p, *n], g.max(1e-18), &mut add);
             }
             Element::Mos { d, g, s, b, dev, .. } => {
                 let vb = voltage_of(x, *b);
                 let vg = voltage_of(x, *g) - vb;
                 let vs = voltage_of(x, *s) - vb;
                 let vd = voltage_of(x, *d) - vb;
-                let mos_op = dev.operating_point(tech, vg, vs, vd);
-                transconductance(m, *d, *s, *g, *b, mos_op.gm);
-                transconductance(m, *d, *s, *s, *b, mos_op.gms);
-                transconductance(m, *d, *s, *d, *b, mos_op.gds);
+                let op = dev.operating_point(tech, vg, vs, vd);
+                let quads = mos_quads(*d, *g, *s, *b);
+                for (q, g) in quads.into_iter().zip([op.gm, op.gms, op.gds]) {
+                    add_quad(q, g, &mut add);
+                }
             }
             Element::SclLoad { a, b, load, iss, .. } => {
                 let v = voltage_of(x, *a) - voltage_of(x, *b);
                 let g = load.conductance(v, *iss).max(1e-18);
-                admittance(m, *a, *b, Complex::from_re(g));
+                add_quad([*a, *b, *a, *b], g, &mut add);
             }
+            _ => {}
         }
+        branch += usize::from(e.has_branch());
     }
 }
 

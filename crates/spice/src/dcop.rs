@@ -369,21 +369,6 @@ impl DcOperatingPoint {
         telemetry::with_tracer(|tracer| Self::solve_traced(nl, tech, opts, tracer))
     }
 
-    /// Solves starting from a previous solution (continuation), after
-    /// the rule check.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DcOperatingPoint::solve`].
-    pub fn solve_from(
-        nl: &Netlist,
-        tech: &Technology,
-        guess: &[f64],
-        opts: &NewtonOptions,
-    ) -> Result<Self, SimError> {
-        telemetry::with_tracer(|tracer| Self::gated(nl, tech, guess, opts, tracer))
-    }
-
     /// [`DcOperatingPoint::solve_with`] recording telemetry on the
     /// given tracer: every Newton attempt (including gmin-ladder rungs)
     /// emits an [`Event::NewtonAttempt`] tagged `"dcop"`.
@@ -397,23 +382,13 @@ impl DcOperatingPoint {
         opts: &NewtonOptions,
         tracer: &mut dyn Tracer,
     ) -> Result<Self, SimError> {
-        Self::gated(nl, tech, &vec![0.0; nl.unknown_count()], opts, tracer)
-    }
-
-    /// The ERC gate, then the gmin-stepping Newton solve from `guess`.
-    fn gated(
-        nl: &Netlist,
-        tech: &Technology,
-        guess: &[f64],
-        opts: &NewtonOptions,
-        tracer: &mut dyn Tracer,
-    ) -> Result<Self, SimError> {
         crate::erc::gate(nl)?;
+        let guess = vec![0.0; nl.unknown_count()];
         let r = newton_solve_gmin_stepping_traced(
             nl,
             tech,
             AssembleMode::Dc,
-            guess,
+            &guess,
             opts,
             "dcop",
             tracer,

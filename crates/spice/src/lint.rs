@@ -1093,10 +1093,12 @@ fn rc_time_step(nl: &Netlist, dt: f64, report: &mut ErcReport) {
                      {MIN_POINTS_PER_TAU} points"
                 ),
             )
-            .with_hint(
-                "shrink dt (see tran::suggest_dt) or the integrator will \
-                 smear the edge; backward Euler overdamps, trapezoidal rings",
-            ),
+            .with_hint(format!(
+                "shrink dt to at most \u{3c4}/{MIN_POINTS_PER_TAU} = {:.3e} s or the \
+                 integrator will smear the edge; backward Euler overdamps, \
+                 trapezoidal rings",
+                tau / MIN_POINTS_PER_TAU
+            )),
         );
     }
 }

@@ -22,9 +22,19 @@
 //! is the [`LuFactor`] oracle. The same factor policy, generic over the
 //! scalar, factors the complex small-signal systems of AC and noise
 //! analysis.
+//!
+//! The stamp layout — which entries each element touches, how branch
+//! rows are numbered, the `+,−,−,+` corner signs — lives here once:
+//! `static_stamps` walks the gmin diagonal, the R, C, V, E and G
+//! corners and the branch rows, and `add_quad` stamps every device
+//! conductance. The sparsity pattern, the workspace's static program,
+//! the AC/noise small-signal system and the certifier's interval
+//! Jacobian all replay that walk, in real, complex or interval
+//! arithmetic.
 
 use crate::netlist::{Element, Netlist, Node};
 use crate::SimError;
+use std::ops::Neg;
 use ulp_num::lu::{LuFactor, SolveError};
 use ulp_num::sparse::{SparseLu, SparseMatrix};
 use ulp_num::{Field, Matrix};
@@ -192,15 +202,36 @@ impl Quad {
     }
 }
 
-/// Where a [`StaticEntry`] takes its value from.
+/// Adds `v` at the four corners of a (trans)conductance stamp — the
+/// current `v·(V(cp) − V(cn))` leaving `p` and entering `n` — in the
+/// order `(p,cp), (p,cn), (n,cp), (n,cn)` with signs `+,−,−,+`, calling
+/// `add(row, col, value)` for every corner off ground. An ordinary
+/// conductance between `a` and `b` is the case `cp = a, cn = b`. Every
+/// system that stamps device conductances — the static program, the
+/// pattern, the complex small-signal matrix and the interval Jacobian
+/// — stamps them through here.
+pub(crate) fn add_quad<T: Copy + Neg<Output = T>>(
+    [p, n, cp, cn]: [Node; 4],
+    v: T,
+    mut add: impl FnMut(usize, usize, T),
+) {
+    for (r, c, v) in [(p, cp, v), (p, cn, -v), (n, cp, -v), (n, cn, v)] {
+        if !r.is_ground() && !c.is_ground() {
+            add(r.index() - 1, c.index() - 1, v);
+        }
+    }
+}
+
+/// Where a static stamp takes its value from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StaticKind {
+pub(crate) enum StaticKind {
     /// The entry's own constant.
     Const,
-    /// The gmin of the assembly.
+    /// The system's diagonal shunt: the gmin of a DC or transient
+    /// assembly, the AC shunt of the small-signal system.
     Gmin,
-    /// The companion conductance of the entry's signed capacitance;
-    /// transient only, skipped at DC.
+    /// The entry's signed capacitance: a companion conductance in
+    /// transient, `jω·C` in AC, open at DC.
     Cap,
 }
 
@@ -217,67 +248,47 @@ struct StaticEntry {
     kind: StaticKind,
 }
 
-/// Walks the iterate-independent stamps of `nl` in stamping order —
-/// the gmin diagonal, then each element's corners — calling
-/// `emit(row, col, kind, value)` for every corner off ground.
-fn static_stamps(nl: &Netlist, mut emit: impl FnMut(u32, u32, StaticKind, f64)) {
-    let mut put = |r: u32, c: u32, kind: StaticKind, v: f64| {
-        if r != NO_IDX && c != NO_IDX {
-            emit(r, c, kind, v);
-        }
-    };
-    fn quad(
-        put: &mut impl FnMut(u32, u32, StaticKind, f64),
-        [p, n, cp, cn]: [u32; 4],
-        kind: StaticKind,
-        v: f64,
-    ) {
-        put(p, cp, kind, v);
-        put(p, cn, kind, -v);
-        put(n, cp, kind, -v);
-        put(n, cn, kind, v);
-    }
-    fn pair(put: &mut impl FnMut(u32, u32, StaticKind, f64), i: u32, rb: u32, v: f64) {
-        put(i, rb, StaticKind::Const, v);
-        put(rb, i, StaticKind::Const, v);
-    }
-
-    let nn = (nl.node_count() - 1) as u32;
+/// The MNA stamp layout, walked once in stamping order: the gmin
+/// diagonal, then each R, C, V, E and G element's corners in element
+/// order, with one branch row per voltage-defined element numbered
+/// after the node rows. Calls `emit(row, col, kind, value)` for every
+/// corner off ground; a subtracted corner carries its value negated.
+/// The point plan, the sparsity pattern, the AC/noise system and the
+/// interval Jacobian all replay this walk, so the layout exists once.
+pub(crate) fn static_stamps(nl: &Netlist, mut emit: impl FnMut(usize, usize, StaticKind, f64)) {
+    let nn = nl.node_count() - 1;
     for i in 0..nn {
-        put(i, i, StaticKind::Gmin, 0.0);
+        emit(i, i, StaticKind::Gmin, 0.0);
     }
     let mut branch = nn;
     for e in nl.elements() {
+        let mut quad = |q, kind, v| add_quad(q, v, |r, c, v| emit(r, c, kind, v));
         match e {
             Element::Resistor { a, b, ohms, .. } => {
-                let (p, n) = (uidx(*a), uidx(*b));
-                quad(&mut put, [p, n, p, n], StaticKind::Const, 1.0 / ohms);
+                quad([*a, *b, *a, *b], StaticKind::Const, 1.0 / ohms);
             }
             Element::Capacitor { a, b, farads, .. } => {
-                let (p, n) = (uidx(*a), uidx(*b));
-                quad(&mut put, [p, n, p, n], StaticKind::Cap, *farads);
-            }
-            Element::Vsource { p, n, .. } => {
-                let rb = branch;
-                branch += 1;
-                pair(&mut put, uidx(*p), rb, 1.0);
-                pair(&mut put, uidx(*n), rb, -1.0);
-            }
-            Element::Vcvs {
-                p, n, cp, cn, gain, ..
-            } => {
-                let rb = branch;
-                branch += 1;
-                pair(&mut put, uidx(*p), rb, 1.0);
-                pair(&mut put, uidx(*n), rb, -1.0);
-                put(rb, uidx(*cp), StaticKind::Const, -*gain);
-                put(rb, uidx(*cn), StaticKind::Const, *gain);
+                quad([*a, *b, *a, *b], StaticKind::Cap, *farads);
             }
             Element::Vccs {
                 p, n, cp, cn, gm, ..
-            } => {
-                let q = [uidx(*p), uidx(*n), uidx(*cp), uidx(*cn)];
-                quad(&mut put, q, StaticKind::Const, *gm);
+            } => quad([*p, *n, *cp, *cn], StaticKind::Const, *gm),
+            Element::Vsource { p, n, .. } | Element::Vcvs { p, n, .. } => {
+                let rb = branch;
+                branch += 1;
+                for (t, v) in [(p, 1.0), (n, -1.0)] {
+                    if !t.is_ground() {
+                        emit(t.index() - 1, rb, StaticKind::Const, v);
+                        emit(rb, t.index() - 1, StaticKind::Const, v);
+                    }
+                }
+                if let Element::Vcvs { cp, cn, gain, .. } = e {
+                    for (c, v) in [(cp, -gain), (cn, *gain)] {
+                        if !c.is_ground() {
+                            emit(rb, c.index() - 1, StaticKind::Const, v);
+                        }
+                    }
+                }
             }
             Element::Isource { .. }
             | Element::Diode { .. }
@@ -285,6 +296,14 @@ fn static_stamps(nl: &Netlist, mut emit: impl FnMut(u32, u32, StaticKind, f64)) 
             | Element::SclLoad { .. } => {}
         }
     }
+}
+
+/// The three conductance quads of a MOS device on `(d, g, s, b)`, in
+/// stamping order: `gm` into the gate column, `gms` into the source
+/// column and `gds` into the drain column, each returned through the
+/// bulk.
+pub(crate) fn mos_quads(d: Node, g: Node, s: Node, b: Node) -> [[Node; 4]; 3] {
+    [[d, s, g, b], [d, s, s, b], [d, s, d, b]]
 }
 
 /// Companion conductance of `farads` over one step of length `dt`.
@@ -836,7 +855,7 @@ impl MnaWorkspace {
         statics.clear();
         static_stamps(nl, |r, c, kind, v| {
             let slot = mat
-                .slot(r as usize, c as usize)
+                .slot(r, c)
                 .expect("static stamp missing from sparse pattern");
             statics.push(StaticEntry {
                 v,
@@ -937,70 +956,25 @@ impl MnaWorkspace {
     }
 }
 
-/// Every matrix coordinate any stamp of `nl` can touch, including
-/// capacitor companion conductances (zero at DC) and the gmin / AC-shunt
-/// diagonal — so one pattern serves DC, transient and AC assembly alike.
+/// Every matrix coordinate any stamp of `nl` can touch: the corners
+/// [`static_stamps`] emits — capacitor companions (zero at DC) and the
+/// gmin / AC-shunt diagonal included — plus the device quads, so one
+/// pattern serves DC, transient and AC assembly alike.
 pub(crate) fn matrix_coords(nl: &Netlist) -> Vec<(u32, u32)> {
-    fn quad_coords(coords: &mut Vec<(u32, u32)>, p: u32, n: u32, cp: u32, cn: u32) {
-        for (r, c) in [(p, cp), (p, cn), (n, cp), (n, cn)] {
-            if r != NO_IDX && c != NO_IDX {
-                coords.push((r, c));
-            }
-        }
-    }
-    fn branch_coords(coords: &mut Vec<(u32, u32)>, i: u32, rb: u32) {
-        if i != NO_IDX {
-            coords.push((i, rb));
-            coords.push((rb, i));
-        }
-    }
-
-    let nn = nl.node_count() - 1;
     let mut coords = Vec::new();
-    for i in 0..nn as u32 {
-        coords.push((i, i));
-    }
-    let mut branch = nn as u32;
+    let mut push = |r: usize, c: usize, _| coords.push((r as u32, c as u32));
+    static_stamps(nl, |r, c, _, v| push(r, c, v));
     for e in nl.elements() {
         match e {
-            Element::Resistor { a, b, .. }
-            | Element::Capacitor { a, b, .. }
-            | Element::SclLoad { a, b, .. } => {
-                let (p, n) = (uidx(*a), uidx(*b));
-                quad_coords(&mut coords, p, n, p, n);
+            Element::Diode { p: a, n: b, .. } | Element::SclLoad { a, b, .. } => {
+                add_quad([*a, *b, *a, *b], 0.0, &mut push);
             }
-            Element::Diode { p, n, .. } => {
-                let (p, n) = (uidx(*p), uidx(*n));
-                quad_coords(&mut coords, p, n, p, n);
-            }
-            Element::Vsource { p, n, .. } => {
-                let rb = branch;
-                branch += 1;
-                branch_coords(&mut coords, uidx(*p), rb);
-                branch_coords(&mut coords, uidx(*n), rb);
-            }
-            Element::Vcvs { p, n, cp, cn, .. } => {
-                let rb = branch;
-                branch += 1;
-                branch_coords(&mut coords, uidx(*p), rb);
-                branch_coords(&mut coords, uidx(*n), rb);
-                for c in [uidx(*cp), uidx(*cn)] {
-                    if c != NO_IDX {
-                        coords.push((rb, c));
-                    }
+            Element::Mos { d, g, s, b, .. } => {
+                for q in mos_quads(*d, *g, *s, *b) {
+                    add_quad(q, 0.0, &mut push);
                 }
             }
-            Element::Vccs { p, n, cp, cn, .. } => {
-                quad_coords(&mut coords, uidx(*p), uidx(*n), uidx(*cp), uidx(*cn));
-            }
-            // Current sources only stamp the RHS.
-            Element::Isource { .. } => {}
-            Element::Mos { d, g, s, b, .. } => {
-                let (d, g, s, b) = (uidx(*d), uidx(*g), uidx(*s), uidx(*b));
-                quad_coords(&mut coords, d, s, g, b);
-                quad_coords(&mut coords, d, s, s, b);
-                quad_coords(&mut coords, d, s, d, b);
-            }
+            _ => {}
         }
     }
     coords
@@ -1735,6 +1709,40 @@ mod tests {
                     if let Backend::Dense { full, .. } = &ws.backend {
                         assert_eq!(full, &got, "{ctx}: dense scatter");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ac_linearises_exactly_as_newton() {
+        // The small-signal matrix at ω is the DC Newton Jacobian plus
+        // jω·C, with the 1 fS AC shunt in place of gmin: its real part
+        // must equal the workspace's DC assembly at gmin = 1e-15 slot by
+        // slot, and its imaginary part must vanish off the capacitor
+        // slots. `==` forgives a capacitor slot's sign of zero.
+        use ulp_num::Complex;
+        let nl = every_element_netlist();
+        let tech = Technology::default();
+        let dim = nl.unknown_count();
+        let x: Vec<f64> = (0..dim).map(|i| 0.05 + 0.11 * i as f64).collect();
+        let mut ws = MnaWorkspace::new(&nl, SolverKind::Sparse);
+        ws.assemble(&nl, &tech, &x, AssembleMode::Dc, 1e-15);
+        let mut cap_slots = Vec::new();
+        static_stamps(&nl, |r, c, kind, _| {
+            if kind == StaticKind::Cap {
+                cap_slots.push(ws.mat.slot(r, c).expect("in pattern"));
+            }
+        });
+        assert!(!cap_slots.is_empty());
+        for omega in [0.0, 1e3, 6.28e6] {
+            let mut m = SparseMatrix::<Complex>::from_pattern(dim, &matrix_coords(&nl));
+            let mut rhs = vec![Complex::ZERO; dim];
+            crate::ac::stamp_ac(&nl, &tech, &x, omega, &mut m, &mut rhs);
+            for (k, (z, re)) in m.values().iter().zip(ws.mat.values()).enumerate() {
+                assert!(z.re == *re, "ω {omega:e}: slot {k}: {} vs {re}", z.re);
+                if !cap_slots.contains(&k) {
+                    assert!(z.im == 0.0, "ω {omega:e}: slot {k}: imaginary {}", z.im);
                 }
             }
         }

@@ -37,9 +37,6 @@ pub struct RippleAdder {
     /// Cached unlatched view for combinational evaluation.
     comb: GateNetlist,
     width: usize,
-    a: Vec<NetId>,
-    b: Vec<NetId>,
-    cin: NetId,
     sum: Vec<NetId>,
     cout: NetId,
 }
@@ -86,9 +83,6 @@ impl RippleAdder {
             netlist: nl,
             comb,
             width,
-            a,
-            b,
-            cin,
             sum,
             cout: carry,
         })
@@ -97,26 +91,6 @@ impl RippleAdder {
     /// Word width in bits.
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// Operand-A input nets, LSB-first.
-    pub fn a_inputs(&self) -> &[NetId] {
-        &self.a
-    }
-
-    /// Operand-B input nets, LSB-first.
-    pub fn b_inputs(&self) -> &[NetId] {
-        &self.b
-    }
-
-    /// Carry-in net.
-    pub fn carry_in(&self) -> NetId {
-        self.cin
-    }
-
-    /// Sum output nets, LSB-first.
-    pub fn sum_outputs(&self) -> &[NetId] {
-        &self.sum
     }
 
     /// Carry-out net.

@@ -14,7 +14,6 @@
 
 use crate::gate::SclParams;
 use ulp_device::mismatch::MismatchRng;
-use ulp_device::tech::MosModel;
 use ulp_device::Technology;
 
 /// A replica-bias distribution network for one STSCL block.
@@ -76,22 +75,10 @@ impl ReplicaBias {
         (0..n).map(|_| self.draw_tail_current(tech, rng)).collect()
     }
 
-    /// 1-σ relative spread of gate delays implied by the mirror spread
-    /// (delay ∝ 1/ISS, so small relative current errors map one-to-one
-    /// onto delay errors).
-    pub fn delay_spread_sigma(&self, tech: &Technology) -> f64 {
-        self.current_spread_sigma(tech)
-    }
-
     /// Worst-case (k-σ) slow-corner delay of one cell, s.
     pub fn worst_case_delay(&self, tech: &Technology, params: &SclParams, k_sigma: f64) -> f64 {
         let slow_current = self.iss_ref * (1.0 - k_sigma * self.current_spread_sigma(tech)).max(0.1);
         params.delay(slow_current)
-    }
-
-    /// The NMOS mirror model card in use.
-    pub fn mirror_model<'t>(&self, tech: &'t Technology) -> &'t MosModel {
-        &tech.nmos
     }
 }
 

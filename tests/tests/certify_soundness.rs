@@ -12,7 +12,9 @@
 //! * the interval box variants of the electrical lints may only ever
 //!   be *more* conservative than their point counterparts;
 //! * every point, box and infeasibility finding keeps its bytes
-//!   (severity, rule, message, hint, nodes and elements).
+//!   (severity, rule, message, hint, nodes and elements);
+//! * on a fixed corpus, every verdict, solution-box bit and rendered
+//!   certificate report stays as it is.
 
 use proptest::prelude::*;
 use rand::rngs::SplitMix64;
@@ -418,7 +420,7 @@ warning[vdd-headroom-box]: supply `VDD` = 1.00 V may fall below the 1.04 V the S
 warning[vdd-headroom-box]: supply `VDD` = 1.00 V may fall below the 1.04 V the STSCL stack under `RLP` needs somewhere in 5 corners × [233, 358] K × ±6σ mismatch; hint: raise VDD or cut ISS/VSW to cover the whole box | nodes ["vdd"] | elements ["RLP", "M2", "VDD"]
 info[proved-nonsingular]: MNA Jacobian proved nonsingular over 5 corners × [233, 358] K × ±6σ mismatch via structural M-matrix: no die in the box can produce a singular system | nodes [] | elements []
 # rc-1p-1ms: lint
-warning[rc-time-step]: transient step 1.000e-3 s resolves the fastest RC time constant (1.389e-4 s) with fewer than 4 points; hint: shrink dt (see tran::suggest_dt) or the integrator will smear the edge; backward Euler overdamps, trapezoidal rings | nodes [] | elements []
+warning[rc-time-step]: transient step 1.000e-3 s resolves the fastest RC time constant (1.389e-4 s) with fewer than 4 points; hint: shrink dt to at most τ/4 = 3.474e-5 s or the integrator will smear the edge; backward Euler overdamps, trapezoidal rings | nodes [] | elements []
 # rc-1p-1ms: certify
 warning[rc-time-step-box]: transient step 1.000e-3 s may resolve the fastest RC time constant (as low as 1.389e-4 s over the box) with fewer than 4 points; hint: shrink dt to cover the fast end of the box | nodes [] | elements []
 info[proved-nonsingular]: MNA Jacobian proved nonsingular over 5 corners × [233, 358] K × ±6σ mismatch via structural M-matrix: no die in the box can produce a singular system | nodes [] | elements []
@@ -442,6 +444,182 @@ warning[vdd-headroom-box]: supply `VDD` = 1.00 V may fall below the 1.01 V the S
 warning[weak-inversion-box]: `M3` may reach inversion coefficient 5.356 at its inferred bias of 1.000e-6 A somewhere in 5 corners × [233, 358] K × ±6σ mismatch — outside weak inversion (bound 0.1); hint: widen W/L or reduce the bias so the whole box stays in weak inversion | nodes [] | elements ["M3"]
 warning[weak-inversion-box]: `M4` may reach inversion coefficient 5.356 at its inferred bias of 1.000e-6 A somewhere in 5 corners × [233, 358] K × ±6σ mismatch — outside weak inversion (bound 0.1); hint: widen W/L or reduce the bias so the whole box stays in weak inversion | nodes [] | elements ["M4"]
 info[unproven]: nonsingularity unproven over 5 corners × [233, 358] K × ±6σ mismatch: every proof method failed at the TT corner (box too wide); hint: not a defect — shrink the temperature/mismatch box or tighten the netlist's operating range to let a proof go through | nodes [] | elements []
+"#;
+
+/// 64-bit FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A resistor ladder drawn from `seed`: 2–11 series stages, each with a
+/// shunt to ground on a coin flip, values in 10 Ω … 1 MΩ.
+fn seeded_ladder(seed: u64) -> Netlist {
+    let mut rng = <SplitMix64 as rand::SeedableRng>::seed_from_u64(seed);
+    let mut draw = |lo: f64, hi: f64| lo + rand::Rng::gen::<f64>(&mut rng) * (hi - lo);
+    let mut nl = Netlist::new();
+    let top = nl.node("top");
+    nl.vsource("V1", top, Netlist::GROUND, draw(0.1, 1.8));
+    let stages = 2 + (draw(0.0, 10.0) as usize);
+    let mut prev = top;
+    for i in 0..stages {
+        let n = nl.node(&format!("n{i}"));
+        nl.resistor(&format!("R{i}"), prev, n, draw(10.0, 1e6));
+        if draw(0.0, 1.0) < 0.5 {
+            nl.resistor(&format!("RS{i}"), n, Netlist::GROUND, draw(10.0, 1e6));
+        }
+        prev = n;
+    }
+    nl.resistor("RT", prev, Netlist::GROUND, draw(10.0, 1e6));
+    nl
+}
+
+/// `stages` `scl_buf` cells (the cell of `examples/scl_buffer.ulp`) at
+/// tail current `iss`, in cascade, written as `.ulp` text and
+/// flattened: each stage's gates hang on the previous stage's outputs,
+/// and the first pair is driven by the example's testbench: `vd` volts
+/// split around a 0.6 V common mode by a pair of ±0.5 gain VCVS.
+fn scl_chain(stages: usize, vd: f64, iss: &str) -> Netlist {
+    let mut text = format!(
+        ".default nmos w=1u l=0.5u\n\
+         .subckt scl_buf vdd:in inp:in inn:in outp:out outn:out vsw=0.2 iss=1n cl=10f\n\
+         M1 outn inp cs 0 nmos\n\
+         M2 outp inn cs 0 nmos\n\
+         ITAIL cs 0 dc iss\n\
+         LP vdd outp vsw=vsw iss=iss\n\
+         LN vdd outn vsw=vsw iss=iss\n\
+         CLP outp 0 cl\n\
+         CLN outn 0 cl\n\
+         .ends\n\
+         VDD vdd 0 dc 1.0\n\
+         VCTL ctl 0 dc {vd}\n\
+         VCM vcm 0 dc 0.6\n\
+         EP o0p vcm ctl 0 0.5\n\
+         EN o0n vcm ctl 0 -0.5\n"
+    );
+    for k in 1..=stages {
+        let j = k - 1;
+        let card = format!("X{k} vdd o{j}p o{j}n o{k}p o{k}n scl_buf iss={iss}\n");
+        text.push_str(&card);
+    }
+    text.push_str(".end\n");
+    ulp_ir::flatten(&ulp_ir::parse(&text).unwrap()).unwrap()
+}
+
+/// The certifier corpus of [`certifier_corpus_is_bit_stable`], each
+/// netlist with the planned transient step it is certified under.
+fn certifier_corpus() -> Vec<(String, Netlist, Option<f64>)> {
+    let tech = Technology::default();
+    let mut out = Vec::new();
+    let mut rng = <SplitMix64 as rand::SeedableRng>::seed_from_u64(0xC0_12FE);
+    for (name, nl) in ulp_bench::netlists::builder_netlists(&tech) {
+        let die = die_from_box(&nl, &tech, 6.0, &mut rng);
+        out.push((format!("{name}/die"), die, None));
+        out.push((name, nl, None));
+    }
+    let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../examples");
+    for name in ["comp_doubletail", "scl_buffer"] {
+        let text = std::fs::read_to_string(examples.join(format!("{name}.ulp"))).unwrap();
+        let nl = ulp_ir::flatten(&ulp_ir::parse(&text).unwrap()).unwrap();
+        out.push((format!("{name}.ulp"), nl, None));
+    }
+    for (label, nl, dt) in golden_cells() {
+        out.push((label.to_string(), nl, dt));
+    }
+    for stages in 1..=4 {
+        for vd in [0.0, 0.05, -0.05] {
+            let chain = scl_chain(stages, vd, "1n");
+            out.push((format!("chain-{stages}/{vd:+}"), chain, None));
+        }
+    }
+    // At 10 nA the two-stage chain needs the temperature case split.
+    out.push(("chain-2/10n".to_string(), scl_chain(2, 0.0, "10n"), None));
+    for seed in 0..12 {
+        out.push((format!("ladder-{seed}"), seeded_ladder(seed), None));
+    }
+    out
+}
+
+/// The certifier keeps its answers bit for bit across refactors: per
+/// corpus netlist, the verdict, a digest of every solution-box bound's
+/// bits, and a digest of the rendered certificate report (each finding
+/// with its nodes and elements).
+///
+/// The box digests read exact interval endpoints, which go through the
+/// platform libm's `exp` and `ln`; a host with a different libm may
+/// legitimately disagree in the last bit.
+#[test]
+fn certifier_corpus_is_bit_stable() {
+    let tech = Technology::default();
+    let config = LintConfig::new();
+    let mut got = String::new();
+    for (name, nl, dt) in certifier_corpus() {
+        let opts = CertifyOptions {
+            dt,
+            ..CertifyOptions::default()
+        };
+        let cert = certify(&nl, &tech, &opts).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let bounds = cert.solution_box().iter().flat_map(|iv| [iv.lo(), iv.hi()]);
+        let box_digest = fnv1a(bounds.flat_map(|v| v.to_bits().to_le_bytes()));
+        let mut report = String::new();
+        golden_lines(&mut report, &cert.report(&config));
+        got.push_str(&format!(
+            "{name}: {:?} box {box_digest:016x} report {:016x}\n",
+            cert.verdict(),
+            fnv1a(report.bytes())
+        ));
+    }
+    assert_eq!(got, CORPUS_GOLDEN);
+}
+
+/// The answers of [`certifier_corpus`], one line per netlist.
+const CORPUS_GOLDEN: &str = r#"scl-buffer-100p/die: ProvedNonsingular { method: "structural M-matrix" } box 2ea5e0ff6fd6bc9d report ada1db80192e295f
+scl-buffer-100p: ProvedNonsingular { method: "structural M-matrix" } box e80bd625b141c015 report ada1db80192e295f
+scl-buffer-1n/die: ProvedNonsingular { method: "structural M-matrix" } box 450ffead8ce9ff13 report ada1db80192e295f
+scl-buffer-1n: ProvedNonsingular { method: "structural M-matrix" } box a0a7099f22d56122 report ada1db80192e295f
+scl-buffer-10n/die: ProvedNonsingular { method: "structural M-matrix" } box 6bbacfeb2754bbe0 report ada1db80192e295f
+scl-buffer-10n: ProvedNonsingular { method: "structural M-matrix" } box 5ce4dbf11653ef9c report ada1db80192e295f
+replica-buffer-1n/die: ProvedNonsingular { method: "structural M-matrix" } box cfb5c6fd8f8b0347 report ada1db80192e295f
+replica-buffer-1n: ProvedNonsingular { method: "structural M-matrix" } box c75729f20c4b7357 report ada1db80192e295f
+preamp-coupled-1n/die: ProvedNonsingular { method: "structural M-matrix" } box 55c7811cfd3a1a19 report ada1db80192e295f
+preamp-coupled-1n: ProvedNonsingular { method: "structural M-matrix" } box 44a73a888077b46a report ada1db80192e295f
+preamp-decoupled-1n/die: ProvedNonsingular { method: "structural M-matrix" } box 6b6b509cc9b1bb56 report ada1db80192e295f
+preamp-decoupled-1n: ProvedNonsingular { method: "structural M-matrix" } box a149d05907048ab5 report ada1db80192e295f
+comp_doubletail.ulp: Unproven { corner: Typical } box 40eedcaaf61d5c23 report 966dea7278d60b3e
+scl_buffer.ulp: ProvedNonsingular { method: "structural M-matrix" } box a0a7099f22d56122 report ada1db80192e295f
+iss-100u: ProvedNonsingular { method: "structural M-matrix" } box 0d258b252943054c report 9e293666cb6c92dd
+vdd-250m: ProvedNonsingular { method: "structural M-matrix" } box 937a20f00ad1f64c report 9b8acfdf579ca8bb
+cascade-50m: ProvedNonsingular { method: "interval LU" } box 085433e6dc8d469d report f7a5071335e2a94b
+pair-0.1u: ProvedNonsingular { method: "structural M-matrix" } box e9877c5ece4c3e22 report 13a54b266c7960af
+rc-1p-1ms: ProvedNonsingular { method: "structural M-matrix" } box dc44861e786fc077 report 72aaf956f679c2e4
+mirror-50u: ProvedNonsingular { method: "structural M-matrix" } box b4e468389509fd93 report cb993d08ee276f32
+pmos-stage: Unproven { corner: Typical } box 4d6e0166d6a8bd0e report 878d7c9d5342a22e
+chain-1/+0: ProvedNonsingular { method: "structural M-matrix" } box 11b3a89b0031240b report ada1db80192e295f
+chain-1/+0.05: ProvedNonsingular { method: "structural M-matrix" } box a0a7099f22d56122 report ada1db80192e295f
+chain-1/-0.05: ProvedNonsingular { method: "structural M-matrix" } box 77eeb503f006bbac report ada1db80192e295f
+chain-2/+0: Unproven { corner: Typical } box c8d39523bc94156d report 966dea7278d60b3e
+chain-2/+0.05: Unproven { corner: Typical } box a14bd964adf99e1c report 966dea7278d60b3e
+chain-2/-0.05: Unproven { corner: Typical } box 8aa262b3d2ac7e1c report 966dea7278d60b3e
+chain-3/+0: Unproven { corner: Typical } box 50a86c2df4be82c7 report 966dea7278d60b3e
+chain-3/+0.05: Unproven { corner: Typical } box 45ce409c801271c6 report 966dea7278d60b3e
+chain-3/-0.05: Unproven { corner: Typical } box 52d6675775095cf9 report 966dea7278d60b3e
+chain-4/+0: Unproven { corner: Typical } box 35437ffefb9d7137 report 966dea7278d60b3e
+chain-4/+0.05: Unproven { corner: Typical } box ff4589eae72f3564 report 966dea7278d60b3e
+chain-4/-0.05: Unproven { corner: Typical } box 3aab26debea21534 report 966dea7278d60b3e
+chain-2/10n: ProvedNonsingular { method: "temperature-sliced interval LU" } box 9b3c4f72a566d2d0 report 1427c3e062efba98
+ladder-0: ProvedNonsingular { method: "structural M-matrix" } box 7cbfdd494a41694e report ada1db80192e295f
+ladder-1: ProvedNonsingular { method: "structural M-matrix" } box 9d972fc4cbc225bc report ada1db80192e295f
+ladder-2: ProvedNonsingular { method: "structural M-matrix" } box e574a246cbfeeb24 report ada1db80192e295f
+ladder-3: ProvedNonsingular { method: "structural M-matrix" } box c3bc6789f8365783 report ada1db80192e295f
+ladder-4: ProvedNonsingular { method: "structural M-matrix" } box e302d7cf57d7690d report ada1db80192e295f
+ladder-5: ProvedNonsingular { method: "structural M-matrix" } box 1027bb31b9001271 report ada1db80192e295f
+ladder-6: ProvedNonsingular { method: "structural M-matrix" } box 0e6de005104085de report ada1db80192e295f
+ladder-7: ProvedNonsingular { method: "structural M-matrix" } box 813b5fb6c94388b3 report ada1db80192e295f
+ladder-8: ProvedNonsingular { method: "structural M-matrix" } box 2e04b45a2cbbbc04 report ada1db80192e295f
+ladder-9: ProvedNonsingular { method: "structural M-matrix" } box fa2dfdea80f687da report ada1db80192e295f
+ladder-10: ProvedNonsingular { method: "structural M-matrix" } box 78574180bcbb2eed report ada1db80192e295f
+ladder-11: ProvedNonsingular { method: "structural M-matrix" } box 9d3265a91fe92deb report ada1db80192e295f
 "#;
 
 proptest! {
