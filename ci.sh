@@ -147,6 +147,12 @@ for w in chain-tran design-check pvt-campaign; do
 done
 echo "benchmark solver counts (perfbench/counts.jsonl at seed 1, allocations masked) OK"
 
+# The benchmark's own test: two --counts runs at the committed seed give
+# identical records, and a second seed (2) passes every workload's
+# output check, design-check's certify verdicts included.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+echo "benchmark self-test (seed 1 repeatable, seed 2 correct) OK"
+
 # Sparse solver bench: times dcop/sweep/transient on every builder
 # netlist under both linear-algebra backends plus the adaptive-vs-fixed
 # transient comparison, writes BENCH_solver.json and

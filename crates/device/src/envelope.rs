@@ -26,6 +26,20 @@
 //! suite): for every temperature in the box, every mismatch draw within
 //! `±k·σ` of the drawn deltas, the point analytic's value lies inside
 //! the corresponding `*_iv` envelope.
+//!
+//! The MOS channel over terminal-voltage boxes goes through a
+//! [`MosEnvelope`], built once per device, corner card and box by
+//! [`Mosfet::envelope`]. It holds the voltage-independent intervals —
+//! the reciprocal thermal voltage, the threshold and specific-current
+//! boxes with their mismatch spread, the slope factor, the CLM
+//! coefficient and the polarity — so evaluating the channel at a
+//! terminal box derives none of them again; the certifier evaluates
+//! tens of thousands of terminal boxes per box. Its two entry points
+//! share one channel kernel: [`MosEnvelope::drain_current`] computes
+//! the current alone (all an interval KCL sum reads), and
+//! [`MosEnvelope::operating_point`] adds the conductances refined by a
+//! drain-current bound, the forward-injection box and the
+//! diode-connected conductance floor.
 
 use crate::ekv;
 use crate::load::PmosLoad;
@@ -171,7 +185,8 @@ fn deriv_from_component(i: Interval) -> Interval {
 
 /// Interval operating point of a MOS channel: the ranges of
 /// [`crate::MosOperatingPoint`]'s current and conductances over
-/// terminal-voltage boxes and the PVT/mismatch box.
+/// terminal-voltage boxes and the PVT/mismatch box, plus the two
+/// correlated quantities the certifier's Jacobian reads beside them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MosOpIv {
     /// Drain current (positive into the drain for NMOS, out for PMOS —
@@ -183,6 +198,26 @@ pub struct MosOpIv {
     pub gms: Interval,
     /// Drain conductance `∂ID/∂VD`, S.
     pub gds: Interval,
+    /// Forward-injection argument box `x_f = (V_P − V_S)/U_T` (with
+    /// polarity reflection), the quantity [`interp_ratio_iv`] is
+    /// evaluated at when bounding a transconductance by its current.
+    pub xf: Interval,
+    /// Non-negative lower bound on the total conductance `∂I_D/∂V` of
+    /// the channel with its drain tied to its gate (both riding the
+    /// gate box `vg`; the drain box plays no part), S. Meaningful only
+    /// for a diode-connected device.
+    ///
+    /// With the gate tied, `∂I_D/∂V = gm + gds =
+    /// (I_S·clm/U_T)·(F'(x_f)/n + F'(x_r)·(n−1)/n) + CLM-extra`, and
+    /// every term is non-negative (`n > 1`, `F' ≥ 0`), so the lower
+    /// product of the factor envelopes is a sound floor over the whole
+    /// box — even though the independently box-evaluated `gm` can dip
+    /// negative once the gate/drain correlation is lost. The reverse
+    /// slope is evaluated on the *correlated* argument
+    /// `x_r = (v·(1−n) − V_T)/(n·U_T)`; the decorrelated rectangle
+    /// (pinch-off from one copy of `v`, the drain from another) cannot
+    /// see that cancellation.
+    pub diode_floor: f64,
 }
 
 impl Mosfet {
@@ -198,17 +233,50 @@ impl Mosfet {
 
     /// Specific current range `IS = 2·n·kp(T)·UT(T)²·W/L·(1+Δβ)` over
     /// the box, A. Always strictly positive.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the mismatch box reaches a non-positive beta factor
+    /// (see [`Mosfet::envelope`] for the checked form).
     pub fn specific_current_iv(&self, tech: &Technology, pvt: &PvtBox) -> Interval {
+        self.specific_current_box(tech, pvt)
+            .expect("mismatch box reaches a non-positive beta factor")
+    }
+
+    /// [`Self::specific_current_iv`], or `None` when the mismatch box
+    /// reaches a non-positive beta factor.
+    fn specific_current_box(&self, tech: &Technology, pvt: &PvtBox) -> Option<Interval> {
         let m = self.model(tech);
         // ∝ T^{1/2}: increasing in temperature.
         let is_t = slacked(pvt.temperature_iv().monotone(|t| m.specific_current(t)));
         let spread = pvt.k_sigma * MismatchRng::sigma_delta_beta(m, self.w, self.l);
         let beta = Interval::point(1.0 + self.delta_beta).inflate(spread);
-        assert!(
-            beta.lo() > 0.0,
-            "mismatch box reaches a non-positive beta factor"
-        );
-        is_t.scale(self.w / self.l) * beta
+        (beta.lo() > 0.0).then(|| is_t.scale(self.w / self.l) * beta)
+    }
+
+    /// The voltage-independent envelope of this device at the corner
+    /// card `tech` over `pvt`, for evaluating the channel at any
+    /// number of terminal boxes.
+    ///
+    /// `None` when the box admits a non-positive thermal voltage or
+    /// the mismatch box reaches a non-positive beta factor: no channel
+    /// envelope exists there.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the temperature bounds are out of order or NaN, or
+    /// `k_sigma` is negative or NaN.
+    pub fn envelope(&self, tech: &Technology, pvt: &PvtBox) -> Option<MosEnvelope> {
+        let m = self.model(tech);
+        Some(MosEnvelope {
+            polarity: self.polarity,
+            ut_inv: pvt.thermal_voltage_iv().recip()?,
+            vt: self.threshold_iv(tech, pvt),
+            is: self.specific_current_box(tech, pvt)?,
+            n: m.n,
+            inv_n: 1.0 / m.n,
+            lambda: self.lambda(tech),
+        })
     }
 
     /// Interval twin of [`Mosfet::inversion_coefficient`]: the range of
@@ -257,146 +325,65 @@ impl Mosfet {
             + self.vgs_for_current_iv(tech, pvt, iss).abs()
             + self.vds_sat_weak_iv(tech, pvt)
     }
+}
 
-    /// Interval operating point over terminal-voltage boxes (physical
-    /// node voltages referred to the bulk, exactly like
-    /// [`Mosfet::operating_point`]) and the PVT/mismatch box.
-    ///
-    /// The envelope follows the point model term by term: PMOS
-    /// reflection, pinch-off voltage, forward/reverse EKV components,
-    /// and channel-length modulation on the forward direction.
-    pub fn operating_point_iv(
-        &self,
-        tech: &Technology,
-        pvt: &PvtBox,
-        vg: Interval,
-        vs: Interval,
-        vd: Interval,
-    ) -> MosOpIv {
-        self.op_iv_impl(tech, pvt, vg, vs, vd, None)
+/// The voltage-independent envelope of one MOS device at one corner
+/// card over one PVT/mismatch box, built by [`Mosfet::envelope`].
+///
+/// It holds what every channel evaluation over that box shares — the
+/// reciprocal thermal voltage, the threshold and specific-current
+/// boxes with the mismatch spread folded in, the slope factor, the CLM
+/// coefficient and the polarity — so a terminal-box evaluation derives
+/// none of them again. Dividing by `U_T` is multiplying by the stored
+/// reciprocal, which is exactly how [`Interval::checked_div`] divides,
+/// so the hoisting changes no bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MosEnvelope {
+    polarity: Polarity,
+    /// `1/U_T` over the box, 1/V.
+    ut_inv: Interval,
+    /// Threshold box (NMOS-prototype sign) with the mismatch spread, V.
+    vt: Interval,
+    /// Specific-current box with the mismatch spread, A.
+    is: Interval,
+    /// Subthreshold slope factor `n`.
+    n: f64,
+    /// `1/n`.
+    inv_n: f64,
+    /// Channel-length-modulation coefficient, 1/V.
+    lambda: f64,
+}
+
+/// The channel quantities [`MosEnvelope::drain_current`] computes and
+/// [`MosEnvelope::operating_point`] builds on.
+struct Channel {
+    xf: Interval,
+    xr: Interval,
+    i_f: Interval,
+    i_r: Interval,
+    i_norm: Interval,
+    vds_n: Interval,
+    clm: Interval,
+}
+
+impl MosEnvelope {
+    /// Reflects a PMOS terminal box onto the NMOS prototype.
+    fn reflect(&self, v: Interval) -> Interval {
+        match self.polarity {
+            Polarity::Nmos => v,
+            Polarity::Pmos => -v,
+        }
     }
 
-    /// [`Self::operating_point_iv`] refined by a sound bound on the
-    /// drain current (same sign convention as [`MosOpIv::id`]) valid
-    /// for every die at the point being certified — typically derived
-    /// from interval KCL at the device's drain or source node.
-    ///
-    /// The bound breaks the exponential dependency blow-up: per die,
-    /// `I_D = I_S·clm·(i_f − i_r)` ties the forward component to the
-    /// current, and `F' = ratio·F` ([`interp_ratio_iv`]) then ties the
-    /// transconductances to the current too:
-    /// `I_S·clm·F'(x_f)/U_T ∈ ratio(x_f)·(I_D + I_S·clm·i_r)/U_T`.
-    /// Each refined quantity is intersected with its box-evaluated
-    /// envelope, so the result is never wider than the unrefined one.
-    pub fn operating_point_iv_bounded(
-        &self,
-        tech: &Technology,
-        pvt: &PvtBox,
-        vg: Interval,
-        vs: Interval,
-        vd: Interval,
-        id_bound: Interval,
-    ) -> MosOpIv {
-        self.op_iv_impl(tech, pvt, vg, vs, vd, Some(id_bound))
-    }
-
-    /// Forward-injection argument box `x_f = (V_P − V_S)/U_T` (with
-    /// polarity reflection), the quantity [`interp_ratio_iv`] is
-    /// evaluated at when bounding a transconductance by its current.
-    /// With `vs` set to the drain box this yields `x_r`.
-    pub fn forward_injection_iv(
-        &self,
-        tech: &Technology,
-        pvt: &PvtBox,
-        vg: Interval,
-        vs: Interval,
-    ) -> Interval {
-        let m = self.model(tech);
-        let ut = pvt.thermal_voltage_iv();
-        let vt = self.threshold_iv(tech, pvt);
-        let (vg_n, vs_n) = match self.polarity {
-            Polarity::Nmos => (vg, vs),
-            Polarity::Pmos => (-vg, -vs),
-        };
-        ((vg_n - vt).scale(1.0 / m.n) - vs_n)
-            .checked_div(ut)
-            .expect("thermal voltage box is strictly positive")
-    }
-
-    /// Strictly-positive lower bound on the total conductance
-    /// `∂I_D/∂V` of a diode-connected channel (gate tied to the drain,
-    /// both riding the node voltage `v`), S.
-    ///
-    /// With the gate tied, `∂I_D/∂V = gm + gds =
-    /// (I_S·clm/U_T)·(F'(x_f)/n + F'(x_r)·(n−1)/n) + CLM-extra`, and
-    /// every term is non-negative (`n > 1`, `F' ≥ 0`), so the lower
-    /// product of the factor envelopes is a sound floor over the whole
-    /// box — even though the independently box-evaluated `gm` can dip
-    /// negative once the gate/drain correlation is lost. The reverse
-    /// slope is evaluated on the *correlated* argument
-    /// `x_r = (v·(1−n) − V_T)/(n·U_T)`; the decorrelated rectangle
-    /// (pinch-off from one copy of `v`, the drain from another) cannot
-    /// see that cancellation.
-    pub fn diode_conductance_floor(
-        &self,
-        tech: &Technology,
-        pvt: &PvtBox,
-        v: Interval,
-        vs: Interval,
-    ) -> f64 {
-        let m = self.model(tech);
-        let ut = pvt.thermal_voltage_iv();
-        let vt = self.threshold_iv(tech, pvt);
-        let (v_n, vs_n) = match self.polarity {
-            Polarity::Nmos => (v, vs),
-            Polarity::Pmos => (-v, -vs),
-        };
-        let vp = (v_n - vt).scale(1.0 / m.n);
-        let xf = (vp - vs_n)
-            .checked_div(ut)
-            .expect("thermal voltage box is strictly positive");
-        let xr = (v_n.scale(1.0 - m.n) - vt)
-            .scale(1.0 / m.n)
-            .checked_div(ut)
-            .expect("thermal voltage box is strictly positive");
-        let df = interp_deriv_iv(xf);
-        let dr = interp_deriv_iv(xr);
-        let clm = Interval::point(1.0) + (v_n - vs_n).max_with(0.0).scale(self.lambda(tech));
-        let g_scale = self
-            .specific_current_iv(tech, pvt)
-            .checked_div(ut)
-            .expect("thermal voltage box is strictly positive");
-        let total = g_scale * clm * (df.scale(1.0 / m.n) + dr.scale((m.n - 1.0) / m.n));
-        total.lo().max(0.0)
-    }
-
-    fn op_iv_impl(
-        &self,
-        tech: &Technology,
-        pvt: &PvtBox,
-        vg: Interval,
-        vs: Interval,
-        vd: Interval,
-        id_bound: Option<Interval>,
-    ) -> MosOpIv {
-        let m = self.model(tech);
-        let ut = pvt.thermal_voltage_iv();
-        let vt = self.threshold_iv(tech, pvt);
-        let (vg_n, vs_n, vd_n) = match self.polarity {
-            Polarity::Nmos => (vg, vs, vd),
-            Polarity::Pmos => (-vg, -vs, -vd),
-        };
-        let vp = (vg_n - vt).scale(1.0 / m.n);
-        let xf = (vp - vs_n)
-            .checked_div(ut)
-            .expect("thermal voltage box is strictly positive");
-        let xr = (vp - vd_n)
-            .checked_div(ut)
-            .expect("thermal voltage box is strictly positive");
-        let mut i_f = interp_iv(xf);
-        let mut i_r = interp_iv(xr);
-        let mut df = interp_deriv_iv(xf);
-        let mut dr = interp_deriv_iv(xr);
+    /// The current-only kernel: pinch-off voltage, forward/reverse EKV
+    /// components and their normalised difference, and the CLM factor.
+    fn channel(&self, vg: Interval, vs: Interval, vd: Interval) -> Channel {
+        let (vg_n, vs_n, vd_n) = (self.reflect(vg), self.reflect(vs), self.reflect(vd));
+        let vp = (vg_n - self.vt).scale(self.inv_n);
+        let xf = (vp - vs_n) * self.ut_inv;
+        let xr = (vp - vd_n) * self.ut_inv;
+        let i_f = interp_iv(xf);
+        let i_r = interp_iv(xr);
         let vds_n = vd_n - vs_n;
         // Direct difference of the two EKV components — and its
         // mean-value correlation: for every die,
@@ -410,42 +397,101 @@ impl Mosfet {
         // envelope.
         let i_direct = i_f - i_r;
         let slope = interp_deriv_iv(xf.hull(xr));
-        let dx = vds_n
-            .checked_div(ut)
-            .expect("thermal voltage box is strictly positive");
-        let mut i_norm = i_direct.intersect(slope * dx).unwrap_or(i_direct);
-
-        let is = self.specific_current_iv(tech, pvt);
-        let lam = self.lambda(tech);
-        let clm = Interval::point(1.0) + vds_n.max_with(0.0).scale(lam);
-
-        if let Some(idb) = id_bound {
-            // Per die, `I_D = I_S·clm·i_norm` with `I_S·clm > 0`, so a
-            // current bound is an `i_norm` bound; `i_f = i_norm + i_r`
-            // then propagates it into the components and, through
-            // `F'(F⁻¹(·))`, into the slopes. Every step intersects, so
-            // a vacuous bound degrades to the plain envelope.
-            if let Some(r) = idb.checked_div(is * clm) {
-                i_norm = i_norm.intersect(r).unwrap_or(i_norm);
-            }
-            i_f = i_f.intersect(i_norm + i_r).unwrap_or(i_f);
-            i_r = i_r.intersect(i_f - i_norm).unwrap_or(i_r);
-            df = df.intersect(deriv_from_component(i_f)).unwrap_or(df);
-            dr = dr.intersect(deriv_from_component(i_r)).unwrap_or(dr);
+        let dx = vds_n * self.ut_inv;
+        let i_norm = i_direct.intersect(slope * dx).unwrap_or(i_direct);
+        let clm = Interval::point(1.0) + vds_n.max_with(0.0).scale(self.lambda);
+        Channel {
+            xf,
+            xr,
+            i_f,
+            i_r,
+            i_norm,
+            vds_n,
+            clm,
         }
+    }
 
-        let di_dvg = (df - dr).scale(1.0 / m.n);
+    /// Drain-current envelope over terminal-voltage boxes (physical
+    /// node voltages referred to the bulk, exactly like
+    /// [`Mosfet::operating_point`]), A, with the sign convention of
+    /// [`MosOpIv::id`].
+    ///
+    /// The envelope follows the point model term by term: PMOS
+    /// reflection, pinch-off voltage, forward/reverse EKV components,
+    /// and channel-length modulation on the forward direction. It
+    /// evaluates no conductance, so a KCL sum that reads only the
+    /// current pays for the current alone.
+    pub fn drain_current(&self, vg: Interval, vs: Interval, vd: Interval) -> Interval {
+        let ch = self.channel(vg, vs, vd);
+        self.is * ch.i_norm * ch.clm
+    }
+
+    /// Interval operating point over terminal-voltage boxes, refined by
+    /// a sound bound on the drain current (same sign convention as
+    /// [`MosOpIv::id`]) valid for every die at the point being
+    /// certified — typically derived from interval KCL at the device's
+    /// drain or source node. The whole real line is a vacuous bound.
+    ///
+    /// The bound breaks the exponential dependency blow-up: per die,
+    /// `I_D = I_S·clm·(i_f − i_r)` ties the forward component to the
+    /// current, and `F' = ratio·F` ([`interp_ratio_iv`]) then ties the
+    /// transconductances to the current too:
+    /// `I_S·clm·F'(x_f)/U_T ∈ ratio(x_f)·(I_D + I_S·clm·i_r)/U_T`.
+    /// Each refined quantity is intersected with its box-evaluated
+    /// envelope, so the result is never wider than the unrefined one.
+    pub fn operating_point(
+        &self,
+        vg: Interval,
+        vs: Interval,
+        vd: Interval,
+        id_bound: Interval,
+    ) -> MosOpIv {
+        let Channel {
+            xf,
+            xr,
+            mut i_f,
+            mut i_r,
+            mut i_norm,
+            vds_n,
+            clm,
+        } = self.channel(vg, vs, vd);
+        let mut df = interp_deriv_iv(xf);
+        let mut dr = interp_deriv_iv(xr);
+        let is = self.is;
+        let g_scale = is * self.ut_inv;
+        // [`MosOpIv::diode_floor`], from the unrefined forward slope and
+        // the reverse slope at the gate-correlated argument.
+        let diode_floor = {
+            let (vg_n, vs_n) = (self.reflect(vg), self.reflect(vs));
+            let xr = (vg_n.scale(1.0 - self.n) - self.vt).scale(self.inv_n) * self.ut_inv;
+            let dr = interp_deriv_iv(xr);
+            let clm = Interval::point(1.0) + (vg_n - vs_n).max_with(0.0).scale(self.lambda);
+            let total = g_scale * clm * (df.scale(self.inv_n) + dr.scale((self.n - 1.0) / self.n));
+            total.lo().max(0.0)
+        };
+
+        // Per die, `I_D = I_S·clm·i_norm` with `I_S·clm > 0`, so a
+        // current bound is an `i_norm` bound; `i_f = i_norm + i_r` then
+        // propagates it into the components and, through `F'(F⁻¹(·))`,
+        // into the slopes. Every step intersects, so a vacuous bound
+        // keeps the plain envelope.
+        if let Some(r) = id_bound.checked_div(is * clm) {
+            i_norm = i_norm.intersect(r).unwrap_or(i_norm);
+        }
+        i_f = i_f.intersect(i_norm + i_r).unwrap_or(i_f);
+        i_r = i_r.intersect(i_f - i_norm).unwrap_or(i_r);
+        df = df.intersect(deriv_from_component(i_f)).unwrap_or(df);
+        dr = dr.intersect(deriv_from_component(i_r)).unwrap_or(dr);
+
+        let di_dvg = (df - dr).scale(self.inv_n);
         let di_dvs = -df;
         let di_dvd = dr;
         let id = is * i_norm * clm;
-        let g_scale = is
-            .checked_div(ut)
-            .expect("thermal voltage box is strictly positive");
-        let mut gm = g_scale * di_dvg * clm;
-        let mut gms = g_scale * di_dvs * clm;
+        let gm = g_scale * di_dvg * clm;
+        let gms = g_scale * di_dvs * clm;
         // The CLM contribution to gds exists only where vds_n > 0; when
         // the box straddles zero, hull with the zero contribution.
-        let clm_extra = is * i_norm.scale(lam);
+        let clm_extra = is * i_norm.scale(self.lambda);
         let extra = if vds_n.hi() <= 0.0 {
             Interval::ZERO
         } else if vds_n.lo() > 0.0 {
@@ -453,29 +499,27 @@ impl Mosfet {
         } else {
             clm_extra.hull(Interval::ZERO)
         };
-        let mut gds = g_scale * di_dvd * clm + extra;
+        let gds = g_scale * di_dvd * clm + extra;
 
-        if let Some(idb) = id_bound {
-            // Ratio-form transconductances: per die
-            // `I_S·clm·F'(x_f)/U_T = ratio(x_f)·I_S·clm·F(x_f)/U_T`
-            // and `I_S·clm·F(x_f) = I_D + I_S·clm·i_r` *exactly*, so
-            // the `g` envelopes inherit the current bound with the
-            // specific current still correlated to the current — the
-            // product `g_scale·df` loses that correlation.
-            let rf = interp_ratio_iv(xf);
-            let rr = interp_ratio_iv(xr);
-            let isr = is * clm * i_r;
-            let a = (rf * (idb + isr))
-                .checked_div(ut)
-                .expect("thermal voltage box is strictly positive");
-            let b = (rr * isr)
-                .checked_div(ut)
-                .expect("thermal voltage box is strictly positive");
-            gms = gms.intersect(-a).unwrap_or(gms);
-            gds = gds.intersect(b + extra).unwrap_or(gds);
-            gm = gm.intersect((a - b).scale(1.0 / m.n)).unwrap_or(gm);
+        // Ratio-form transconductances: per die
+        // `I_S·clm·F'(x_f)/U_T = ratio(x_f)·I_S·clm·F(x_f)/U_T` and
+        // `I_S·clm·F(x_f) = I_D + I_S·clm·i_r` *exactly*, so the `g`
+        // envelopes inherit the current bound with the specific current
+        // still correlated to the current — the product `g_scale·df`
+        // loses that correlation.
+        let rf = interp_ratio_iv(xf);
+        let rr = interp_ratio_iv(xr);
+        let isr = is * clm * i_r;
+        let a = (rf * (id_bound + isr)) * self.ut_inv;
+        let b = (rr * isr) * self.ut_inv;
+        MosOpIv {
+            id,
+            gm: gm.intersect((a - b).scale(self.inv_n)).unwrap_or(gm),
+            gms: gms.intersect(-a).unwrap_or(gms),
+            gds: gds.intersect(b + extra).unwrap_or(gds),
+            xf,
+            diode_floor,
         }
-        MosOpIv { id, gm, gms, gds }
     }
 }
 
@@ -546,6 +590,11 @@ mod tests {
         }
     }
 
+    /// The bound that constrains nothing.
+    fn vacuous() -> Interval {
+        Interval::new(f64::NEG_INFINITY, f64::INFINITY)
+    }
+
     #[test]
     fn point_analytics_lie_inside_their_envelopes() {
         let tech = tech();
@@ -592,7 +641,9 @@ mod tests {
         let vg = Interval::new(0.4, 0.7);
         let vs = Interval::new(0.0, 0.3);
         let vd = Interval::new(0.2, 1.0);
-        let iv = base.operating_point_iv(&tech, &pvt, vg, vs, vd);
+        let env = base.envelope(&tech, &pvt).unwrap();
+        let id = env.drain_current(vg, vs, vd);
+        let iv = env.operating_point(vg, vs, vd, vacuous());
         let mut rng = Rng(11);
         for _ in 0..500 {
             let t = rng.in_range(pvt.t_lo, pvt.t_hi);
@@ -610,6 +661,7 @@ mod tests {
                 rng.in_range(vs.lo(), vs.hi()),
                 rng.in_range(vd.lo(), vd.hi()),
             );
+            assert!(id.contains(op.id), "{:?} vs {:?}", op.id, id);
             assert!(iv.id.contains(op.id), "{:?} vs {:?}", op.id, iv.id);
             assert!(iv.gm.contains(op.gm));
             assert!(iv.gms.contains(op.gms));
@@ -624,13 +676,14 @@ mod tests {
         let p = Mosfet::new(Polarity::Pmos, 2e-6, 0.5e-6);
         // A PMOS load-style bias: source at VDD = 1 V.
         let op = p.operating_point(&tech, 0.4, 1.0, 0.8);
-        let iv = p.operating_point_iv(
-            &tech,
-            &pvt,
+        let env = p.envelope(&tech, &pvt).unwrap();
+        let (vg, vs, vd) = (
             Interval::point(0.4),
             Interval::point(1.0),
             Interval::point(0.8),
         );
+        let iv = env.operating_point(vg, vs, vd, vacuous());
+        assert!(env.drain_current(vg, vs, vd).contains(op.id));
         assert!(iv.id.contains(op.id));
         assert!(iv.gm.contains(op.gm));
         assert!(iv.gms.contains(op.gms));
@@ -687,6 +740,205 @@ mod tests {
             assert!(m
                 .min_supply_iv(&tech, &pvt, 1e-9, 0.2)
                 .contains(m.min_supply(&at_t, 1e-9, 0.2)));
+        }
+    }
+
+    /// Reference channel evaluation with nothing hoisted: every
+    /// voltage-independent interval (`U_T`, `V_T`, `I_S`) derived from
+    /// the card and the box on each call. Returns `[id, gm, gms, gds]`;
+    /// `None` skips the current-bound refinement.
+    fn op_iv_impl(
+        dev: &Mosfet,
+        tech: &Technology,
+        pvt: &PvtBox,
+        vg: Interval,
+        vs: Interval,
+        vd: Interval,
+        id_bound: Option<Interval>,
+    ) -> [Interval; 4] {
+        let m = dev.model(tech);
+        let ut = pvt.thermal_voltage_iv();
+        let vt = dev.threshold_iv(tech, pvt);
+        let (vg_n, vs_n, vd_n) = match dev.polarity {
+            Polarity::Nmos => (vg, vs, vd),
+            Polarity::Pmos => (-vg, -vs, -vd),
+        };
+        let vp = (vg_n - vt).scale(1.0 / m.n);
+        let xf = (vp - vs_n).checked_div(ut).unwrap();
+        let xr = (vp - vd_n).checked_div(ut).unwrap();
+        let mut i_f = interp_iv(xf);
+        let mut i_r = interp_iv(xr);
+        let mut df = interp_deriv_iv(xf);
+        let mut dr = interp_deriv_iv(xr);
+        let vds_n = vd_n - vs_n;
+        let i_direct = i_f - i_r;
+        let slope = interp_deriv_iv(xf.hull(xr));
+        let dx = vds_n.checked_div(ut).unwrap();
+        let mut i_norm = i_direct.intersect(slope * dx).unwrap_or(i_direct);
+
+        let is = dev.specific_current_iv(tech, pvt);
+        let lam = dev.lambda(tech);
+        let clm = Interval::point(1.0) + vds_n.max_with(0.0).scale(lam);
+
+        if let Some(idb) = id_bound {
+            if let Some(r) = idb.checked_div(is * clm) {
+                i_norm = i_norm.intersect(r).unwrap_or(i_norm);
+            }
+            i_f = i_f.intersect(i_norm + i_r).unwrap_or(i_f);
+            i_r = i_r.intersect(i_f - i_norm).unwrap_or(i_r);
+            df = df.intersect(deriv_from_component(i_f)).unwrap_or(df);
+            dr = dr.intersect(deriv_from_component(i_r)).unwrap_or(dr);
+        }
+
+        let di_dvg = (df - dr).scale(1.0 / m.n);
+        let di_dvs = -df;
+        let di_dvd = dr;
+        let id = is * i_norm * clm;
+        let g_scale = is.checked_div(ut).unwrap();
+        let mut gm = g_scale * di_dvg * clm;
+        let mut gms = g_scale * di_dvs * clm;
+        let clm_extra = is * i_norm.scale(lam);
+        let extra = if vds_n.hi() <= 0.0 {
+            Interval::ZERO
+        } else if vds_n.lo() > 0.0 {
+            clm_extra
+        } else {
+            clm_extra.hull(Interval::ZERO)
+        };
+        let mut gds = g_scale * di_dvd * clm + extra;
+
+        if let Some(idb) = id_bound {
+            let rf = interp_ratio_iv(xf);
+            let rr = interp_ratio_iv(xr);
+            let isr = is * clm * i_r;
+            let a = (rf * (idb + isr)).checked_div(ut).unwrap();
+            let b = (rr * isr).checked_div(ut).unwrap();
+            gms = gms.intersect(-a).unwrap_or(gms);
+            gds = gds.intersect(b + extra).unwrap_or(gds);
+            gm = gm.intersect((a - b).scale(1.0 / m.n)).unwrap_or(gm);
+        }
+        [id, gm, gms, gds]
+    }
+
+    /// Reference forward-injection argument `(V_P − V_S)/U_T`, per call.
+    fn forward_injection_iv(
+        dev: &Mosfet,
+        tech: &Technology,
+        pvt: &PvtBox,
+        vg: Interval,
+        vs: Interval,
+    ) -> Interval {
+        let m = dev.model(tech);
+        let ut = pvt.thermal_voltage_iv();
+        let vt = dev.threshold_iv(tech, pvt);
+        let (vg_n, vs_n) = match dev.polarity {
+            Polarity::Nmos => (vg, vs),
+            Polarity::Pmos => (-vg, -vs),
+        };
+        ((vg_n - vt).scale(1.0 / m.n) - vs_n)
+            .checked_div(ut)
+            .unwrap()
+    }
+
+    /// Reference diode-connected conductance floor, per call.
+    fn diode_conductance_floor(
+        dev: &Mosfet,
+        tech: &Technology,
+        pvt: &PvtBox,
+        v: Interval,
+        vs: Interval,
+    ) -> f64 {
+        let m = dev.model(tech);
+        let ut = pvt.thermal_voltage_iv();
+        let vt = dev.threshold_iv(tech, pvt);
+        let (v_n, vs_n) = match dev.polarity {
+            Polarity::Nmos => (v, vs),
+            Polarity::Pmos => (-v, -vs),
+        };
+        let vp = (v_n - vt).scale(1.0 / m.n);
+        let xf = (vp - vs_n).checked_div(ut).unwrap();
+        let xr = (v_n.scale(1.0 - m.n) - vt)
+            .scale(1.0 / m.n)
+            .checked_div(ut)
+            .unwrap();
+        let df = interp_deriv_iv(xf);
+        let dr = interp_deriv_iv(xr);
+        let clm = Interval::point(1.0) + (v_n - vs_n).max_with(0.0).scale(dev.lambda(tech));
+        let g_scale = dev.specific_current_iv(tech, pvt).checked_div(ut).unwrap();
+        let total = g_scale * clm * (df.scale(1.0 / m.n) + dr.scale((m.n - 1.0) / m.n));
+        total.lo().max(0.0)
+    }
+
+    fn iv_bits(ivs: &[Interval]) -> Vec<(u64, u64)> {
+        ivs.iter()
+            .map(|iv| (iv.lo().to_bits(), iv.hi().to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn hoisted_envelope_evaluates_bit_for_bit() {
+        let devices = [
+            Mosfet::with_mismatch(Polarity::Nmos, 1e-6, 0.5e-6, 0.004, -0.012),
+            Mosfet::with_mismatch(Polarity::Pmos, 2e-6, 0.5e-6, -0.006, 0.015),
+        ];
+        // The full qualification box, a degenerate one, and the fourth
+        // of eight temperature slices of the qualification box (the
+        // certifier's temperature case split).
+        let q = PvtBox::qualification();
+        let width = (q.t_hi - q.t_lo) / 8.0;
+        let slice_lo = q.t_lo + width * 3.0;
+        let slice = PvtBox {
+            t_lo: slice_lo,
+            t_hi: (slice_lo + width).min(q.t_hi),
+            ..q
+        };
+        let boxes = [q, PvtBox::at_temperature(300.0), slice];
+        // Terminal boxes: a point, a narrow box, a drain box
+        // straddling the source box (VDS of both signs) and ±3 V.
+        let mut rng = Rng(41);
+        let mut terminals = Vec::new();
+        for _ in 0..12 {
+            let c = [0; 3].map(|_| rng.in_range(-1.2, 1.2));
+            terminals.push(c.map(Interval::point));
+            terminals.push(c.map(|v| Interval::new(v - 5e-3, v + 5e-3)));
+            let vs = Interval::new(c[1] - 0.05, c[1] + 0.05);
+            let vd = Interval::new(c[1] - 0.1, c[1] + 0.1);
+            terminals.push([Interval::new(c[0] - 0.02, c[0] + 0.02), vs, vd]);
+        }
+        terminals.push([Interval::new(-3.0, 3.0); 3]);
+        for tech in [tech(), tech().at_corner(crate::pvt::Corner::SlowFast)] {
+            for pvt in &boxes {
+                for dev in &devices {
+                    let env = dev.envelope(&tech, pvt).unwrap();
+                    for &[vg, vs, vd] in &terminals {
+                        let ctx = format!("{:?} {pvt:?} at ({vg:?}, {vs:?}, {vd:?})", dev.polarity);
+                        let id = env.drain_current(vg, vs, vd);
+                        let unbounded = op_iv_impl(dev, &tech, pvt, vg, vs, vd, None);
+                        assert_eq!(iv_bits(&[id]), iv_bits(&unbounded[..1]), "{ctx}");
+                        let mid = id.mid();
+                        let tight = Interval::new(mid - 0.05 * id.width(), mid + 0.05 * id.width());
+                        for bound in [vacuous(), tight] {
+                            let op = env.operating_point(vg, vs, vd, bound);
+                            let reference = op_iv_impl(dev, &tech, pvt, vg, vs, vd, Some(bound));
+                            assert_eq!(
+                                iv_bits(&[op.id, op.gm, op.gms, op.gds]),
+                                iv_bits(&reference),
+                                "{ctx} bound {bound:?}"
+                            );
+                            assert_eq!(
+                                iv_bits(&[op.xf]),
+                                iv_bits(&[forward_injection_iv(dev, &tech, pvt, vg, vs)]),
+                                "{ctx}"
+                            );
+                            assert_eq!(
+                                op.diode_floor.to_bits(),
+                                diode_conductance_floor(dev, &tech, pvt, vg, vs).to_bits(),
+                                "{ctx}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

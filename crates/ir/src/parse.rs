@@ -349,7 +349,11 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
             continue;
         }
         let mut cur = Cursor::new(line_no, raw);
-        let head = cur.next().expect("non-blank line has a first token");
+        // `tokenize` splits on the same whitespace the blank-line test
+        // trims, so a line that gets here has a first token.
+        let Some(head) = cur.next() else {
+            continue;
+        };
         if ended {
             return Err(cur.err_at(&head, ParseErrorKind::AfterEnd));
         }
@@ -663,11 +667,11 @@ fn parse_sweep_axis(cur: &mut Cursor<'_>) -> Result<SweepAxis, ParseError> {
 
 fn parse_card(cur: &mut Cursor<'_>, head: &Tok<'_>) -> Result<Item, ParseError> {
     let name = head.text.to_string();
-    let letter = name
-        .chars()
-        .next()
-        .expect("card token is non-empty")
-        .to_ascii_uppercase();
+    // Tokens are never empty, so this is the card's first letter.
+    let Some(first) = name.chars().next() else {
+        return Err(cur.err_at(head, ParseErrorKind::UnknownCard));
+    };
+    let letter = first.to_ascii_uppercase();
     let item = match letter {
         'R' => {
             let (a, b) = (cur.expect_node()?, cur.expect_node()?);

@@ -35,7 +35,9 @@
 //!
 //! The abstract state is one interval per MNA unknown. Starting from
 //! `±(max |V_source| + V_LIMIT)`, the interpreter alternates two sound
-//! narrowing steps for a fixed number of sweeps:
+//! narrowing steps for up to `SWEEPS` sweeps, stopping at the first
+//! sweep that moves no bound (every later sweep would repeat it bit
+//! for bit):
 //!
 //! 1. **Source pinning** — for every voltage-defined branch
 //!    `V(p) − V(n) = V`, propagate `X_p ∩= X_n + V` (and symmetrically),
@@ -58,7 +60,11 @@
 //! Every interval KCL sum — a narrowing cut, a branch terminal, the
 //! current refinement of the Jacobian — runs through one kernel that
 //! walks only the elements incident to its nodes, read from a table
-//! built once per [`certify`] together with the narrowing cuts. The
+//! built once per [`certify`] together with the narrowing cuts. Its
+//! MOS channels come from a table of [`MosEnvelope`]s built once per
+//! corner card and box (or temperature slice) and shared by the
+//! fixpoint, branch recovery and the Jacobian; a KCL sum evaluates
+//! only the drain current ([`MosEnvelope::drain_current`]). The
 //! interpreter's tuning (`GMIN`, `V_LIMIT`, sweeps, bisection steps,
 //! `SOLVER_SLACK`, `T_SLICES`) is private constants; [`CertifyOptions`]
 //! sets only the box and the planned transient step.
@@ -116,7 +122,7 @@ use crate::lint::{
 use crate::mna::{add_quad, mos_quads, static_stamps, StaticKind};
 use crate::netlist::{Element, Netlist, Node};
 use crate::SimError;
-use ulp_device::envelope::PvtBox;
+use ulp_device::envelope::{interp_ratio_iv, MosEnvelope, PvtBox};
 use ulp_device::pvt::Corner;
 use ulp_device::{Polarity, Technology};
 use ulp_num::interval::{gershgorin_nonsingular, prove_regular};
@@ -134,7 +140,8 @@ const GMIN: f64 = 1e-12;
 /// initial node-voltage box, V: node voltages outside
 /// `±(max |V| + V_LIMIT)` are outside the certified enclosure.
 const V_LIMIT: f64 = 2.0;
-/// Narrowing sweeps (pinning + bisection) per corner.
+/// Most narrowing sweeps (pinning + bisection) per corner; the
+/// fixpoint stops earlier at the first sweep that moves no bound.
 const SWEEPS: usize = 6;
 /// Binary-search steps per bound per cut per sweep.
 const BISECT_STEPS: usize = 40;
@@ -267,6 +274,15 @@ impl Certified {
 /// this gates on [`crate::erc::gate`] first (`Err(SimError::Erc)`), and
 /// a netlist with no unknowns has no system to certify
 /// (`Err(SimError::EmptyNetlist)`).
+///
+/// # Errors
+///
+/// Besides the two above, `Err(SimError::BadParameter)` names the
+/// field of a PVT box no envelope exists over: a temperature bound
+/// that is not finite, not positive or out of order, a `t_lo` so close
+/// to 0 K that the thermal-voltage box reaches zero, a `k_sigma` that
+/// is not finite or negative, or one that spreads some device's beta
+/// factor to zero or below (the device is named).
 pub fn certify(
     nl: &Netlist,
     tech: &Technology,
@@ -274,6 +290,7 @@ pub fn certify(
 ) -> Result<Certified, SimError> {
     crate::erc::gate(nl)?;
     crate::mna::require_unknowns(nl)?;
+    check_pvt(&opts.pvt)?;
     let nn = nl.node_count() - 1;
     let dim = nl.unknown_count();
 
@@ -292,8 +309,8 @@ pub fn certify(
     let structural = structural_nonsingular(nl);
     let kcl = Kcl::new(nl);
     // Proof strength of one (corner, pvt) evaluation, or None.
-    let prove_at = |tc: &Technology, pvt: &PvtBox, boxes: &[Interval]| -> Option<usize> {
-        let jac = interval_jacobian(&kcl, tc, pvt, boxes);
+    let prove_at = |env: &Envelopes, boxes: &[Interval]| -> Option<usize> {
+        let jac = interval_jacobian(&kcl, env, boxes);
         if gershgorin_nonsingular(&jac) {
             Some(0)
         } else if prove_regular(&jac) {
@@ -307,24 +324,29 @@ pub fn certify(
 
     for corner in Corner::all() {
         let tc = tech.at_corner(corner);
-        let boxes = enclosure_fixpoint(&kcl, &tc, &opts.pvt);
+        let env = Envelopes::new(nl, &tc, &opts.pvt)?;
+        let boxes = enclosure_fixpoint(&kcl, &env);
         // Per-corner proof chain on the interval Jacobian; if the
         // full-range box defeats every method, case-split the
         // temperature axis — each die sits in exactly one slice, and a
         // slice restores the cross-device temperature correlation
         // (mirror legs, replica loops) the full-range intervals lose.
         if !structural && verdict.is_none() {
-            match prove_at(&tc, &opts.pvt, &boxes) {
+            match prove_at(&env, &boxes) {
                 Some(m) => strongest = strongest.max(m),
                 None => {
                     let width = (opts.pvt.t_hi - opts.pvt.t_lo) / T_SLICES as f64;
-                    let all_slices = (0..T_SLICES).all(|si| {
+                    let mut all_slices = true;
+                    for si in 0..T_SLICES {
                         let mut pvt = opts.pvt;
                         pvt.t_lo = opts.pvt.t_lo + width * si as f64;
                         pvt.t_hi = (pvt.t_lo + width).min(opts.pvt.t_hi);
-                        let slice_boxes = enclosure_fixpoint(&kcl, &tc, &pvt);
-                        prove_at(&tc, &pvt, &slice_boxes).is_some()
-                    });
+                        let slice = Envelopes::new(nl, &tc, &pvt)?;
+                        if prove_at(&slice, &enclosure_fixpoint(&kcl, &slice)).is_none() {
+                            all_slices = false;
+                            break;
+                        }
+                    }
                     if all_slices {
                         strongest = 3;
                     } else {
@@ -368,6 +390,79 @@ pub fn certify(
         solution,
         diagnostics,
     })
+}
+
+/// Rejects a PVT box no device envelope exists over, naming the
+/// field: temperatures must be finite with `0 < t_lo ≤ t_hi` and a
+/// strictly positive thermal-voltage box, and `k_sigma` finite and
+/// non-negative. (A `k_sigma` too wide for some device's beta factor
+/// is caught per device by [`Envelopes::new`].)
+fn check_pvt(pvt: &PvtBox) -> Result<(), SimError> {
+    let PvtBox {
+        t_lo,
+        t_hi,
+        k_sigma,
+    } = *pvt;
+    let problem = if !(t_lo.is_finite() && t_lo > 0.0) {
+        format!("`t_lo` = {t_lo} K must be a finite positive temperature")
+    } else if !(t_hi.is_finite() && t_hi >= t_lo) {
+        format!("`t_hi` = {t_hi} K must be finite and at least `t_lo` = {t_lo} K")
+    } else if pvt.thermal_voltage_iv().lo() <= 0.0 {
+        format!("`t_lo` = {t_lo} K is too close to 0 K for a positive thermal-voltage box")
+    } else if !(k_sigma.is_finite() && k_sigma >= 0.0) {
+        format!("`k_sigma` = {k_sigma} must be finite and non-negative")
+    } else {
+        return Ok(());
+    };
+    let msg = format!("certify PVT box: {problem}");
+    Err(SimError::BadParameter(msg))
+}
+
+/// The device envelopes of one corner card over one PVT box (the full
+/// box or a temperature slice): every voltage-independent interval the
+/// fixpoint, branch recovery and the interval Jacobian evaluate
+/// devices with, derived once instead of per evaluation.
+struct Envelopes {
+    /// Thermal voltage over the box, V (diodes, tail-node bound).
+    ut: Interval,
+    /// Per element, its MOS envelope (`None` for every other kind).
+    mos: Vec<Option<MosEnvelope>>,
+}
+
+impl Envelopes {
+    /// Builds the table of `nl`'s devices at the card `tech` over
+    /// `pvt`, which [`check_pvt`] has accepted (a slice of an accepted
+    /// box is accepted too). Fails only on a device whose beta factor
+    /// the mismatch spread reaches zero at.
+    fn new(nl: &Netlist, tech: &Technology, pvt: &PvtBox) -> Result<Self, SimError> {
+        let mos = nl
+            .elements()
+            .iter()
+            .map(|e| match e {
+                Element::Mos { name, dev, .. } => {
+                    dev.envelope(tech, pvt).map(Some).ok_or_else(|| {
+                        SimError::BadParameter(format!(
+                            "certify PVT box: `k_sigma` = {} spreads the beta factor of \
+                             `{name}` to zero or below",
+                            pvt.k_sigma
+                        ))
+                    })
+                }
+                _ => Ok(None),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Envelopes {
+            ut: pvt.thermal_voltage_iv(),
+            mos,
+        })
+    }
+
+    /// The envelope of MOS element `k`.
+    fn mos(&self, k: usize) -> &MosEnvelope {
+        self.mos[k]
+            .as_ref()
+            .expect("an envelope for every MOS element")
+    }
 }
 
 /// Sign class of one symbolic Jacobian contribution.
@@ -612,8 +707,8 @@ struct Cut {
 /// Where [`Kcl::residual`] takes MOS channel currents from.
 #[derive(Clone, Copy)]
 enum Channels<'a> {
-    /// The device envelope of this corner card over the terminal boxes.
-    Envelope(&'a Technology),
+    /// The device envelopes' drain current over the terminal boxes.
+    Envelope,
     /// The running drain-terminal bounds, indexed by element, leaving
     /// out every element `skip` selects.
     Bounds {
@@ -755,16 +850,16 @@ impl<'a> Kcl<'a> {
     /// residual, and cut eligibility keeps them off a narrowing
     /// boundary.
     ///
-    /// For every die in the box and every assignment inside the boxes,
-    /// the die's true residual lies inside the returned interval. An
-    /// envelope sum starts from zero and adds the members' gmin terms
-    /// in node order; a bound sum is one node's, `[t]`, and starts at
-    /// its gmin term — the identity behind current refinement: at any
-    /// die's solution, the skipped elements' total current at `t`
-    /// equals minus the sum.
+    /// For every die in `env`'s box and every assignment inside the
+    /// boxes, the die's true residual lies inside the returned
+    /// interval. An envelope sum starts from zero and adds the members'
+    /// gmin terms in node order; a bound sum is one node's, `[t]`, and
+    /// starts at its gmin term — the identity behind current
+    /// refinement: at any die's solution, the skipped elements' total
+    /// current at `t` equals minus the sum.
     fn residual(
         &self,
-        pvt: &PvtBox,
+        env: &Envelopes,
         bx: impl Fn(Node) -> Interval,
         members: &[usize],
         elems: &[usize],
@@ -772,7 +867,7 @@ impl<'a> Kcl<'a> {
     ) -> Interval {
         let memb = |n: Node| member(members, n);
         let mut sum = match channels {
-            Channels::Envelope(_) => members
+            Channels::Envelope => members
                 .iter()
                 .fold(Interval::ZERO, |sum, &m| sum + bx(Node(m)).scale(GMIN)),
             Channels::Bounds { .. } => bx(Node(members[0])).scale(GMIN),
@@ -799,18 +894,13 @@ impl<'a> Kcl<'a> {
                         continue;
                     }
                     let i_dt = match channels {
-                        Channels::Envelope(tech) => {
+                        Channels::Envelope => {
                             let vb = bx(*b);
-                            let op = dev.operating_point_iv(
-                                tech,
-                                pvt,
-                                bx(*g) - vb,
-                                bx(*s) - vb,
-                                bx(*d) - vb,
-                            );
+                            let (vg, vs, vd) = (bx(*g) - vb, bx(*s) - vb, bx(*d) - vb);
+                            let id = env.mos(k).drain_current(vg, vs, vd);
                             match dev.polarity {
-                                Polarity::Nmos => op.id,
-                                Polarity::Pmos => -op.id,
+                                Polarity::Nmos => id,
+                                Polarity::Pmos => -id,
                             }
                         }
                         Channels::Bounds { dt, .. } => {
@@ -831,7 +921,7 @@ impl<'a> Kcl<'a> {
                         Element::Resistor { ohms, .. } => (bx(*p) - bx(*n)).scale(1.0 / ohms),
                         Element::Vccs { cp, cn, gm, .. } => (bx(*cp) - bx(*cn)).scale(*gm),
                         Element::Diode { is_sat, n_id, .. } => {
-                            let vt = pvt.thermal_voltage_iv().scale(*n_id);
+                            let vt = env.ut.scale(*n_id);
                             let arg = (bx(*p) - bx(*n))
                                 .checked_div(vt)
                                 .expect("thermal voltage box is strictly positive")
@@ -858,7 +948,7 @@ impl<'a> Kcl<'a> {
     /// is not interval-computable from the boxes).
     fn node_rest(
         &self,
-        pvt: &PvtBox,
+        env: &Envelopes,
         boxes: &[Interval],
         t: Node,
         dt: &[Option<Interval>],
@@ -872,7 +962,7 @@ impl<'a> Kcl<'a> {
             return None;
         }
         let channels = Channels::Bounds { dt, skip };
-        Some(self.residual(pvt, |n| node_box(boxes, n), &[t.index()], elems, channels))
+        Some(self.residual(env, |n| node_box(boxes, n), &[t.index()], elems, channels))
     }
 }
 
@@ -924,10 +1014,72 @@ fn pin_sources(nl: &Netlist, boxes: &mut [Interval]) {
     }
 }
 
-/// Runs the pinning + monotone-bisection fixpoint at one corner card
-/// over `pvt` and recovers branch currents; returns the full
-/// unknown-vector enclosure (uninflated).
-fn enclosure_fixpoint(kcl: &Kcl<'_>, tech: &Technology, pvt: &PvtBox) -> Vec<Interval> {
+/// One narrowing sweep: two pinning passes (so VCVS chains settle
+/// within a sweep), then monotone bisection through every cut in
+/// order. Returns whether any bound's bits moved, comparing against a
+/// snapshot taken into `before` (scratch space the caller reuses). A
+/// sweep is a function of the boxes' bits alone, so one that moves no
+/// bit would repeat itself exactly.
+fn sweep(
+    kcl: &Kcl<'_>,
+    env: &Envelopes,
+    boxes: &mut [Interval],
+    before: &mut Vec<Interval>,
+) -> bool {
+    before.clear();
+    before.extend_from_slice(boxes);
+    pin_sources(kcl.nl, boxes);
+    pin_sources(kcl.nl, boxes);
+    for cut in &kcl.cuts {
+        let i = cut.node.index() - 1;
+        let f = |v: f64| {
+            let at = Interval::point(v);
+            let bx = |n: Node| {
+                if n == cut.node {
+                    at
+                } else {
+                    node_box(boxes, n)
+                }
+            };
+            kcl.residual(env, bx, &cut.members, &cut.elems, Channels::Envelope)
+        };
+        // Proved negative (positive) for every die.
+        let neg = |r: Interval| r.hi() < 0.0;
+        let pos = |r: Interval| r.lo() > 0.0;
+        let (lo, hi) = (boxes[i].lo(), boxes[i].hi());
+        let (f_lo, f_hi) = (f(lo), f(hi));
+        // Raise the lower bound to the largest point proved
+        // negative, and lower the upper bound symmetrically.
+        let new_lo = if !neg(f_lo) {
+            lo
+        } else if neg(f_hi) {
+            hi
+        } else {
+            bisect(lo, hi, |m| neg(f(m))).0
+        };
+        let new_hi = if !pos(f_hi) {
+            hi
+        } else if pos(f_lo) {
+            lo
+        } else {
+            bisect(lo, hi, |m| !pos(f(m))).1
+        };
+        if new_lo <= new_hi {
+            boxes[i] = Interval::new(new_lo, new_hi);
+        }
+    }
+    let bits = |iv: &Interval| (iv.lo().to_bits(), iv.hi().to_bits());
+    boxes
+        .iter()
+        .zip(before.iter())
+        .any(|(a, b)| bits(a) != bits(b))
+}
+
+/// The node-voltage boxes of the narrowing fixpoint at one corner card
+/// over one box, starting from `±(max |V| + V_LIMIT)`, and the number
+/// of sweeps run: at most [`SWEEPS`], stopping after the first sweep
+/// that moves no bound.
+fn narrow(kcl: &Kcl<'_>, env: &Envelopes) -> (Vec<Interval>, usize) {
     let nl = kcl.nl;
     let nn = nl.node_count() - 1;
     let mut src_span = 0.0f64;
@@ -938,50 +1090,23 @@ fn enclosure_fixpoint(kcl: &Kcl<'_>, tech: &Technology, pvt: &PvtBox) -> Vec<Int
     }
     let span = src_span + V_LIMIT;
     let mut boxes = vec![Interval::new(-span, span); nn];
-
-    for _ in 0..SWEEPS {
-        // Two pinning passes let Vcvs chains settle within a sweep.
-        pin_sources(nl, &mut boxes);
-        pin_sources(nl, &mut boxes);
-        for cut in &kcl.cuts {
-            let i = cut.node.index() - 1;
-            let f = |v: f64| {
-                let at = Interval::point(v);
-                let bx = |n: Node| {
-                    if n == cut.node {
-                        at
-                    } else {
-                        node_box(&boxes, n)
-                    }
-                };
-                kcl.residual(pvt, bx, &cut.members, &cut.elems, Channels::Envelope(tech))
-            };
-            // Proved negative (positive) for every die.
-            let neg = |r: Interval| r.hi() < 0.0;
-            let pos = |r: Interval| r.lo() > 0.0;
-            let (lo, hi) = (boxes[i].lo(), boxes[i].hi());
-            let (f_lo, f_hi) = (f(lo), f(hi));
-            // Raise the lower bound to the largest point proved
-            // negative, and lower the upper bound symmetrically.
-            let new_lo = if !neg(f_lo) {
-                lo
-            } else if neg(f_hi) {
-                hi
-            } else {
-                bisect(lo, hi, |m| neg(f(m))).0
-            };
-            let new_hi = if !pos(f_hi) {
-                hi
-            } else if pos(f_lo) {
-                lo
-            } else {
-                bisect(lo, hi, |m| !pos(f(m))).1
-            };
-            if new_lo <= new_hi {
-                boxes[i] = Interval::new(new_lo, new_hi);
-            }
+    let mut before = Vec::with_capacity(nn);
+    let mut ran = 0;
+    while ran < SWEEPS {
+        ran += 1;
+        if !sweep(kcl, env, &mut boxes, &mut before) {
+            break;
         }
     }
+    (boxes, ran)
+}
+
+/// Runs the narrowing fixpoint at one corner card over one box and
+/// recovers branch currents; returns the full unknown-vector enclosure
+/// (uninflated).
+fn enclosure_fixpoint(kcl: &Kcl<'_>, env: &Envelopes) -> Vec<Interval> {
+    let nl = kcl.nl;
+    let (boxes, _) = narrow(kcl, env);
 
     // Branch currents from interval KCL at the source terminals. At a
     // node `t`, `Σ_branches ±i_b = −(non-branch out-current at t)`, so
@@ -992,7 +1117,7 @@ fn enclosure_fixpoint(kcl: &Kcl<'_>, tech: &Technology, pvt: &PvtBox) -> Vec<Int
     let nodal = |t: Node| {
         let bx = |n: Node| node_box(&boxes, n);
         let elems = &kcl.incident[t.index()];
-        kcl.residual(pvt, bx, &[t.index()], elems, Channels::Envelope(tech))
+        kcl.residual(env, bx, &[t.index()], elems, Channels::Envelope)
     };
     let branches: Vec<(Node, Node)> = nl
         .elements()
@@ -1051,7 +1176,7 @@ fn enclosure_fixpoint(kcl: &Kcl<'_>, tech: &Technology, pvt: &PvtBox) -> Vec<Int
             break;
         }
     }
-    let mut out = boxes.clone();
+    let mut out = boxes;
     out.extend(
         bcur.into_iter()
             .map(|b| b.unwrap_or(Interval::new(-UNBOUNDED, UNBOUNDED))),
@@ -1080,12 +1205,7 @@ fn enclosure_fixpoint(kcl: &Kcl<'_>, tech: &Technology, pvt: &PvtBox) -> Vec<Int
 /// source-coupled devices' `g_ms` sum is at least
 /// `ratio_min·ΣI_D/U_T`, and `ΣI_D` is the (narrow) tail-cut current,
 /// even though no per-device split of it is known.
-fn interval_jacobian(
-    kcl: &Kcl<'_>,
-    tech: &Technology,
-    pvt: &PvtBox,
-    boxes: &[Interval],
-) -> Matrix<Interval> {
+fn interval_jacobian(kcl: &Kcl<'_>, env: &Envelopes, boxes: &[Interval]) -> Matrix<Interval> {
     let nl = kcl.nl;
     let nn = nl.node_count() - 1;
     let dim = nl.unknown_count();
@@ -1103,11 +1223,14 @@ fn interval_jacobian(
     let mut dt: Vec<Option<Interval>> = nl
         .elements()
         .iter()
-        .map(|e| match e {
+        .enumerate()
+        .map(|(k, e)| match e {
             Element::Mos { d, g, s, b, dev, .. } => {
                 let vb = bx(*b);
-                let op = dev.operating_point_iv(tech, pvt, bx(*g) - vb, bx(*s) - vb, bx(*d) - vb);
-                Some(op.id.scale(sigma(dev)))
+                let id = env
+                    .mos(k)
+                    .drain_current(bx(*g) - vb, bx(*s) - vb, bx(*d) - vb);
+                Some(id.scale(sigma(dev)))
             }
             _ => None,
         })
@@ -1122,10 +1245,10 @@ fn interval_jacobian(
             }
             let mut bound = dt[k].expect("seeded above");
             let this = |i| i == k;
-            if let Some(r) = kcl.node_rest(pvt, boxes, *d, &dt, &this) {
+            if let Some(r) = kcl.node_rest(env, boxes, *d, &dt, &this) {
                 bound = bound.intersect(-r).unwrap_or(bound);
             }
-            if let Some(r) = kcl.node_rest(pvt, boxes, *s, &dt, &this) {
+            if let Some(r) = kcl.node_rest(env, boxes, *s, &dt, &this) {
                 bound = bound.intersect(r).unwrap_or(bound);
             }
             dt[k] = Some(bound);
@@ -1137,13 +1260,16 @@ fn interval_jacobian(
         StaticKind::Gmin => jac.add_at(r, c, Interval::point(GMIN)),
         StaticKind::Cap => {}
     });
+    // Each MOS device's forward-injection box, for the tail-node
+    // refinement below.
+    let mut xfs: Vec<Option<Interval>> = vec![None; nl.elements().len()];
     let mut add = |r, c, g| jac.add_at(r, c, g);
     for (k, e) in nl.elements().iter().enumerate() {
         match e {
             Element::Diode {
                 p, n, is_sat, n_id, ..
             } => {
-                let vt = pvt.thermal_voltage_iv().scale(*n_id);
+                let vt = env.ut.scale(*n_id);
                 let arg = (bx(*p) - bx(*n))
                     .checked_div(vt)
                     .expect("thermal voltage box is strictly positive")
@@ -1158,14 +1284,9 @@ fn interval_jacobian(
             Element::Mos { d, g, s, b, dev, .. } => {
                 let vb = bx(*b);
                 let id_bound = dt[k].expect("seeded above").scale(sigma(dev));
-                let op = dev.operating_point_iv_bounded(
-                    tech,
-                    pvt,
-                    bx(*g) - vb,
-                    bx(*s) - vb,
-                    bx(*d) - vb,
-                    id_bound,
-                );
+                let m = env.mos(k);
+                let op = m.operating_point(bx(*g) - vb, bx(*s) - vb, bx(*d) - vb, id_bound);
+                xfs[k] = Some(op.xf);
                 let [qg, qs, qd] = mos_quads(*d, *g, *s, *b);
                 if d == g && d != s {
                     // Diode-connected: the gm and gds stamps land on
@@ -1174,7 +1295,7 @@ fn interval_jacobian(
                     // which stays strictly positive where the
                     // decorrelated `gm` envelope dips negative.
                     let raw = op.gm + op.gds;
-                    let floor = dev.diode_conductance_floor(tech, pvt, bx(*d) - vb, bx(*s) - vb);
+                    let floor = op.diode_floor;
                     let gtot = if floor > raw.lo() && floor <= raw.hi() {
                         Interval::new(floor, raw.hi())
                     } else {
@@ -1252,7 +1373,7 @@ fn interval_jacobian(
             continue;
         }
         let channel_at_t = |k: usize| src.contains(&k) || drn.contains(&k);
-        let Some(rest) = kcl.node_rest(pvt, boxes, tn, &dt, &channel_at_t) else {
+        let Some(rest) = kcl.node_rest(env, boxes, tn, &dt, &channel_at_t) else {
             continue;
         };
         // KCL at the tail: Σ_src i_dt = Σ_drn i_dt + rest; project onto
@@ -1271,14 +1392,10 @@ fn interval_jacobian(
         }
         let mut ratio_lo = 1.0f64;
         for &k in &src {
-            let Element::Mos { g, s, b, dev, .. } = &nl.elements()[k] else {
-                unreachable!("src holds MOS indices");
-            };
-            let vb = bx(*b);
-            let xf = dev.forward_injection_iv(tech, pvt, bx(*g) - vb, bx(*s) - vb);
-            ratio_lo = ratio_lo.min(ulp_device::envelope::interp_ratio_iv(xf).lo());
+            let xf = xfs[k].expect("stamped above");
+            ratio_lo = ratio_lo.min(interp_ratio_iv(xf).lo());
         }
-        let ut_hi = pvt.thermal_voltage_iv().hi();
+        let ut_hi = env.ut.hi();
         let bound = GMIN + ratio_lo * l / ut_hi;
         let diag = jac[(t - 1, t - 1)];
         if bound > diag.lo() && bound <= diag.hi() {
@@ -1594,9 +1711,8 @@ mod tests {
         assert_contained(&cert, sparse.solution());
     }
 
-    #[test]
-    fn resistor_ladder_certifies_and_contains_solution() {
-        let t = tech();
+    /// A 1 V source across seven resistors in series.
+    fn resistor_ladder() -> Netlist {
         let mut nl = Netlist::new();
         let top = nl.node("top");
         nl.vsource("V1", top, Netlist::GROUND, 1.0);
@@ -1607,6 +1723,13 @@ mod tests {
             prev = n;
         }
         nl.resistor("RT", prev, Netlist::GROUND, 4.7e3);
+        nl
+    }
+
+    #[test]
+    fn resistor_ladder_certifies_and_contains_solution() {
+        let t = tech();
+        let nl = resistor_ladder();
         let cert = certify(&nl, &t, &CertifyOptions::default()).unwrap();
         assert!(cert.proved_nonsingular(), "{:?}", cert.verdict());
         let op = DcOperatingPoint::solve(&nl, &t).unwrap();
@@ -1798,5 +1921,109 @@ mod tests {
             .diagnostics()
             .iter()
             .any(|d| d.rule == rule::RC_TIME_STEP_BOX));
+    }
+
+    #[test]
+    fn fixpoint_exits_only_at_an_idle_sweep() {
+        // The sweeps the early exit skipped, run by hand, move no
+        // bound: the enclosure is bit for bit what all `SWEEPS` sweeps
+        // give. Compared by bits: `Interval`'s `PartialEq` equates -0.0
+        // and 0.0. (The ladder narrows through every sweep, so the cap
+        // ends it and nothing is skipped.)
+        let bits = |b: &[Interval]| -> Vec<(u64, u64)> {
+            b.iter()
+                .map(|iv| (iv.lo().to_bits(), iv.hi().to_bits()))
+                .collect()
+        };
+        let mut exited_early = false;
+        for nl in [stscl_cell(1e-9, 0.2, 1.0), resistor_ladder()] {
+            let kcl = Kcl::new(&nl);
+            for corner in Corner::all() {
+                let tc = tech().at_corner(corner);
+                let env = Envelopes::new(&nl, &tc, &PvtBox::qualification()).unwrap();
+                let (mut boxes, ran) = narrow(&kcl, &env);
+                exited_early |= ran < SWEEPS;
+                let settled = bits(&boxes);
+                let mut before = Vec::new();
+                for extra in ran..SWEEPS {
+                    let moved = sweep(&kcl, &env, &mut boxes, &mut before);
+                    let n = extra + 1;
+                    assert!(!moved, "{corner}: sweep {n} after an exit at {ran} moved");
+                }
+                assert_eq!(bits(&boxes), settled, "{corner}");
+            }
+        }
+        assert!(exited_early, "every fixpoint ran all {SWEEPS} sweeps");
+    }
+
+    /// `certify` on the STSCL cell over `pvt` fails with a
+    /// `BadParameter` whose message names each of `names`.
+    fn rejects_box(pvt: PvtBox, names: &[&str]) {
+        let opts = CertifyOptions {
+            pvt,
+            ..CertifyOptions::default()
+        };
+        let err = certify(&stscl_cell(1e-9, 0.2, 1.0), &tech(), &opts).unwrap_err();
+        let SimError::BadParameter(msg) = &err else {
+            panic!("expected BadParameter, got {err:?}");
+        };
+        for name in names {
+            assert!(msg.contains(name), "{name} missing from: {msg}");
+        }
+    }
+
+    #[test]
+    fn reversed_temperature_box_is_rejected() {
+        let pvt = PvtBox {
+            t_lo: 358.0,
+            t_hi: 233.0,
+            k_sigma: 6.0,
+        };
+        rejects_box(pvt, &["`t_hi`", "`t_lo`"]);
+    }
+
+    #[test]
+    fn zero_kelvin_box_is_rejected() {
+        let pvt = PvtBox {
+            t_lo: 0.0,
+            ..PvtBox::qualification()
+        };
+        rejects_box(pvt, &["`t_lo`"]);
+    }
+
+    #[test]
+    fn negative_temperature_box_is_rejected() {
+        let pvt = PvtBox {
+            t_lo: -10.0,
+            ..PvtBox::qualification()
+        };
+        rejects_box(pvt, &["`t_lo`"]);
+    }
+
+    #[test]
+    fn nan_temperature_box_is_rejected() {
+        let pvt = PvtBox {
+            t_lo: f64::NAN,
+            ..PvtBox::qualification()
+        };
+        rejects_box(pvt, &["`t_lo`"]);
+    }
+
+    #[test]
+    fn beta_collapsing_mismatch_box_is_rejected() {
+        let pvt = PvtBox {
+            k_sigma: 1e4,
+            ..PvtBox::qualification()
+        };
+        rejects_box(pvt, &["`k_sigma`", "`M1`"]);
+    }
+
+    #[test]
+    fn negative_mismatch_box_is_rejected() {
+        let pvt = PvtBox {
+            k_sigma: -1.0,
+            ..PvtBox::qualification()
+        };
+        rejects_box(pvt, &["`k_sigma`"]);
     }
 }
