@@ -30,6 +30,16 @@ for f in results/*.txt; do
 done
 echo "figure outputs (results/*.txt byte-identical) OK"
 
+# The five figure bins that run Ensemble campaigns must print the same
+# bytes on the strictly serial path and on a 4-worker pool, whatever
+# the host's default worker count is.
+for id in fig10_chip_summary fig11_inl_dnl fig9a_fmax_vs_iss pvt_circuit table1_power_scaling; do
+    for jobs in 1 4; do
+        env -u ULP_TRACE ULP_JOBS=$jobs "${CARGO_TARGET_DIR:-target}/release/$id" | cmp - "results/$id.txt"
+    done
+done
+echo "campaign figure outputs (ULP_JOBS=1 and 4 byte-identical) OK"
+
 # Telemetry path: one bench binary under ULP_TRACE=summary must render
 # the solver-metrics footer, and ULP_TRACE=events must produce valid
 # (non-empty, one-object-per-line) JSONL — so the tracing layer can
@@ -209,15 +219,18 @@ else
 fi
 
 # Concurrency model check: the bounded schedule explorer drives the
-# shipped pool/deque/cancel code through every bound-2 schedule of a
-# 2-worker/4-trial campaign (exhaustive), plus a deterministic
-# 64-schedule random walk at bound 3, writing SARIF next to the design
-# lints. The --fault runs assert the toolkit still *detects* seeded
-# defects (racy deque, completion-order fold, dropped cancel record).
+# shipped claim-loop/cancel code through every bound-2 schedule of a
+# 2-worker/4-trial and a 3-worker/6-trial campaign (exhaustive), plus a
+# deterministic 64-schedule random walk at bound 3, writing SARIF next
+# to the design lints. The --fault runs assert the toolkit still
+# *detects* seeded defects (non-atomic claim, completion-order fold,
+# dropped cancel record).
 cargo run --release -q -p ulp-check --bin ulp_check -- \
     --workers 2 --trials 4 --bound 2 --sarif results/lint/concurrency.sarif
 test -s results/lint/concurrency.sarif
 grep -q '"version": "2.1.0"' results/lint/concurrency.sarif
+cargo run --release -q -p ulp-check --bin ulp_check -- \
+    --workers 3 --trials 6 --bound 2
 cargo run --release -q -p ulp-check --bin ulp_check -- \
     --workers 3 --trials 6 --bound 3 --walk 64 --seed 20260808
 cargo run --release -q -p ulp-check --bin ulp_check -- \
@@ -226,7 +239,7 @@ cargo run --release -q -p ulp-check --bin ulp_check -- \
     --fault fold --expect-findings > /dev/null
 cargo run --release -q -p ulp-check --bin ulp_check -- \
     --fault cancel --bound 1 --expect-findings > /dev/null
-echo "model check (exhaustive bound 2 + walk 64 @ bound 3 + fault detection) OK"
+echo "model check (exhaustive bound 2 at 2 and 3 workers + walk 64 @ bound 3 + fault detection) OK"
 
 # Opt-in deep checks: Miri (interpreter-level UB detection) and
 # ThreadSanitizer need toolchain components this container may not

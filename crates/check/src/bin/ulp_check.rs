@@ -63,7 +63,7 @@ fn parse() -> Result<Args, String> {
             "--fault" => {
                 args.fault = match value("--fault")?.as_str() {
                     "none" => Fault::None,
-                    "race" => Fault::RacyDeque,
+                    "race" => Fault::RacyCounter,
                     "fold" => Fault::CompletionOrderFold,
                     "cancel" => Fault::DroppedCancelResult,
                     other => return Err(format!("unknown fault `{other}`")),

@@ -10,8 +10,8 @@
 //!   count is below the context bound (iterative context bounding, the
 //!   CHESS insight: almost all concurrency bugs need very few
 //!   preemptions);
-//! * a **forced switch** — the current thread blocked, parked or
-//!   finished — always branches over every runnable thread and costs
+//! * a **forced switch** — the current thread blocked or finished —
+//!   always branches over every runnable thread and costs
 //!   nothing against the bound.
 //!
 //! Exhaustive mode replays the campaign under depth-first search over
@@ -407,12 +407,11 @@ where
 mod tests {
     use super::*;
     use crate::sync::RaceCell;
-    use ulp_exec::sync::{SyncFlag, SyncMutex, SyncParker, SyncProvider};
+    use ulp_exec::sync::{SyncFlag, SyncMutex, SyncProvider};
     use ulp_spice::lint::rule;
 
     type VMutex<T> = <crate::Virtual as SyncProvider>::Mutex<T>;
     type VFlag = <crate::Virtual as SyncProvider>::AtomicBool;
-    type VParker = <crate::Virtual as SyncProvider>::Parker;
 
     #[test]
     fn opposite_lock_order_deadlocks_on_some_schedule() {
@@ -482,32 +481,6 @@ mod tests {
             |_| vec![],
         );
         assert!(racy.has_rule(rule::RACE), "{racy:?}");
-    }
-
-    #[test]
-    fn parker_token_semantics_hold_under_exploration() {
-        // t1 parks; t0 writes a value and unparks. The unpark
-        // happens-before the park's return, so the read is ordered even
-        // though the cell itself is unsynchronized. Token semantics
-        // (unpark-before-park returns immediately) keep every schedule
-        // deadlock-free.
-        let report = explore_fn(
-            &Config::exhaustive(2),
-            2,
-            || (VParker::new(), RaceCell::new("handoff", 0u64)),
-            |tid, (parker, cell)| {
-                if tid == 0 {
-                    cell.with_write(|v| *v = 7);
-                    parker.unpark();
-                } else {
-                    parker.park();
-                    cell.with_read(|v| assert_eq!(*v, 7));
-                }
-            },
-            |_| vec![],
-        );
-        assert!(report.is_clean(), "{report:?}");
-        assert!(!report.has_rule(rule::SCHEDULE_DEADLOCK));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The `ulp-exec` pool model: a scaled-down campaign (2–3 workers,
 //! 4–8 trials) run through the **shipped** scheduling code —
-//! [`ulp_exec::pool::deal`], [`ulp_exec::pool::worker_loop`],
-//! [`WorkDeque`], [`CancelToken`] — instantiated with the [`Virtual`]
+//! [`ulp_exec::pool::worker_loop`] claiming trials from one shared
+//! counter, and [`CancelToken`] — instantiated with the [`Virtual`]
 //! provider, under every schedule the explorer generates.
 //!
 //! The invariant checked on each schedule is the engine's determinism
@@ -13,19 +13,17 @@
 //! realistic regression of the real engine, so the test suite can
 //! assert the explorer/auditor actually fires:
 //!
-//! * [`Fault::RacyDeque`] — the deque's mutex "optimized away"
-//!   ([`RaceCell`] instead of a lock) → `race`;
+//! * [`Fault::RacyCounter`] — the claim's atomic fetch-add "optimized
+//!   away" into a plain read then write of a [`RaceCell`] → `race`, and
+//!   two workers can claim the same trial;
 //! * [`Fault::CompletionOrderFold`] — telemetry folded in completion
 //!   order instead of index order → `non-deterministic-fold`;
 //! * [`Fault::DroppedCancelResult`] — a late cancellation check that
 //!   drops an already-computed result record → `lost-cancel`.
 
-use std::collections::VecDeque;
-
 use rand::rngs::SplitMix64;
 use rand::{RngCore, SeedableRng};
 
-use ulp_exec::deque::WorkDeque;
 use ulp_exec::pool;
 use ulp_exec::sync::{SyncCounter, SyncMutex, SyncProvider};
 use ulp_exec::CancelToken;
@@ -43,8 +41,9 @@ type VAtomicUsize = <Virtual as SyncProvider>::AtomicUsize;
 pub enum Fault {
     /// The shipped, healthy pool.
     None,
-    /// Deques stripped of their lock: raw shared `VecDeque`s.
-    RacyDeque,
+    /// The claim counter stripped of its atomic: an unsynchronized
+    /// read, then a write.
+    RacyCounter,
     /// Telemetry folded in completion order.
     CompletionOrderFold,
     /// A result record dropped when cancellation lands mid-trial.
@@ -121,7 +120,6 @@ impl PoolModel {
                 // and drop the whole record when it fires — the gather
                 // ends up with a hole instead of a Cancelled marker.
                 let v = self.reference(trial);
-                state.progress.fetch_add_acq_rel(1);
                 if state.cancel.is_cancelled() {
                     None
                 } else {
@@ -133,7 +131,6 @@ impl PoolModel {
                     return Some(Trial::Cancelled);
                 }
                 let v = self.reference(trial);
-                state.progress.fetch_add_acq_rel(1);
                 if self.fault == Fault::CompletionOrderFold {
                     state.log.with(|l| l.push(trial));
                 }
@@ -142,19 +139,18 @@ impl PoolModel {
         }
     }
 
-    /// The `RacyDeque` drain loop: same pop-own-then-steal shape as
-    /// [`pool::worker_loop`], but over lockless cells.
-    fn racy_loop(&self, w: usize, state: &PoolState) -> Vec<(usize, Option<Trial>)> {
-        let n = state.racy.len();
+    /// The `RacyCounter` claim loop: same claim-until-`total` shape as
+    /// [`pool::worker_loop`], but the fetch-add is split into an
+    /// unsynchronized read and write of the counter.
+    fn racy_loop(&self, state: &PoolState) -> Vec<(usize, Option<Trial>)> {
         let mut out = Vec::new();
         loop {
-            let next = state.racy[w].with_write(|q| q.pop_back()).or_else(|| {
-                (1..n).find_map(|k| state.racy[(w + k) % n].with_write(|q| q.pop_front()))
-            });
-            match next {
-                Some(trial) => out.push((trial, self.run_one(trial, state))),
-                None => return out,
+            let trial = state.racy_next.with_read(|n| *n);
+            if trial >= self.trials {
+                return out;
             }
+            state.racy_next.with_write(|n| *n = trial + 1);
+            out.push((trial, self.run_one(trial, state)));
         }
     }
 
@@ -168,10 +164,9 @@ impl PoolModel {
 
 /// Shared state of one modelled campaign.
 pub struct PoolState {
-    deques: Vec<WorkDeque<usize, Virtual>>,
-    racy: Vec<RaceCell<VecDeque<usize>>>,
+    next: VAtomicUsize,
+    racy_next: RaceCell<usize>,
     cancel: CancelToken<Virtual>,
-    progress: VAtomicUsize,
     batches: Vec<VMutex<Vec<(usize, Trial)>>>,
     log: VMutex<Vec<usize>>,
 }
@@ -184,28 +179,10 @@ impl Scenario for PoolModel {
     }
 
     fn setup(&self) -> PoolState {
-        let deques = if self.fault == Fault::RacyDeque {
-            Vec::new()
-        } else {
-            pool::deal::<Virtual>(self.trials, self.workers)
-        };
-        let racy = if self.fault == Fault::RacyDeque {
-            // Same round-robin deal as `pool::deal`, minus the lock.
-            let cells: Vec<RaceCell<VecDeque<usize>>> = (0..self.workers)
-                .map(|w| RaceCell::new(&format!("deque-{w}"), VecDeque::new()))
-                .collect();
-            for trial in 0..self.trials {
-                cells[trial % self.workers].with_write(|q| q.push_back(trial));
-            }
-            cells
-        } else {
-            Vec::new()
-        };
         PoolState {
-            deques,
-            racy,
+            next: VAtomicUsize::new(0),
+            racy_next: RaceCell::new("trial-counter", 0),
             cancel: CancelToken::new(),
-            progress: VAtomicUsize::new(0),
             batches: (0..self.workers).map(|_| VMutex::new(Vec::new())).collect(),
             log: VMutex::new(Vec::new()),
         }
@@ -218,10 +195,12 @@ impl Scenario for PoolModel {
             state.cancel.cancel();
             return;
         }
-        let batch = if self.fault == Fault::RacyDeque {
-            self.racy_loop(tid, state)
+        let batch = if self.fault == Fault::RacyCounter {
+            self.racy_loop(state)
         } else {
-            pool::worker_loop(tid, &state.deques, &|trial, _w| self.run_one(trial, state))
+            pool::worker_loop::<_, Virtual>(tid, &state.next, self.trials, &|trial, _w| {
+                self.run_one(trial, state)
+            })
         };
         // The engine gathers per-worker batches; dropped records
         // (`None` from the faulty run_one) vanish here, exactly like a
@@ -244,7 +223,7 @@ impl Scenario for PoolModel {
                         Finding::new(
                             rule::RACE,
                             format!("slot {trial}"),
-                            format!("trial {trial} was gathered twice — the deque double-issued it"),
+                            format!("trial {trial} was gathered twice — the claim double-issued it"),
                         )
                         .with_threads([self.thread_name(w)]),
                     );

@@ -4,8 +4,8 @@
 //! The engine's scheduling core is generic over
 //! [`ulp_exec::sync::SyncProvider`]. Production builds use `StdSync`
 //! (plain `std::sync`, zero overhead); this crate supplies [`Virtual`],
-//! a provider that routes every acquire, release, load, store, park and
-//! unpark through a deterministic virtual scheduler. On top of that
+//! a provider that routes every acquire, release, load, store and
+//! fetch-add through a deterministic virtual scheduler. On top of that
 //! seam sit:
 //!
 //! * a **bounded schedule explorer** ([`explore`], [`Config`]) —
@@ -17,8 +17,8 @@
 //!   [`RaceCell`] accesses (logically unsynchronized shared data) are
 //!   checked against it, djit+-style;
 //! * the **pool model** ([`PoolModel`]) — a scaled-down `ulp-exec`
-//!   campaign run through the *shipped* `pool::deal`/`pool::worker_loop`
-//!   code on every explored schedule, asserting the determinism
+//!   campaign run through the *shipped* `pool::worker_loop` claim loop
+//!   on every explored schedule, asserting the determinism
 //!   contract (every trial gathered once, bit-identical to the serial
 //!   reference, cancellation never leaving a hole), with [`Fault`]
 //!   variants that re-introduce real defects so tests can assert the

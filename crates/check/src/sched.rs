@@ -12,8 +12,8 @@
 //!
 //! The scheduler simultaneously maintains the happens-before relation
 //! as vector clocks ([`crate::clock`]): mutex release/acquire, atomic
-//! store/load (release/acquire), park/unpark and RMW operations all
-//! contribute edges; [`crate::RaceCell`] accesses contribute *none* and
+//! store/load (release/acquire) and RMW operations all contribute
+//! edges; [`crate::RaceCell`] accesses contribute *none* and
 //! are audited against the clocks (djit+), so any pair of unordered
 //! conflicting accesses is reported as a `race` finding.
 //!
@@ -107,17 +107,14 @@ enum Status {
     Runnable,
     /// Waiting for the mutex object to be released.
     Blocked(usize),
-    /// Parked on the parker object.
-    Parked(usize),
     Finished,
 }
 
 /// What kind of synchronization object a registered id refers to.
 pub(crate) enum ObjKind {
     Mutex { held: bool },
-    /// All atomics (bool/usize/u64) model their value as a `u64`.
+    /// Both atomics (bool and usize) model their value as a `u64`.
     Atomic { value: u64 },
-    Parker { token: bool },
     /// An audited, deliberately *unsynchronized* data location
     /// ([`crate::RaceCell`]): per-thread last-write and last-read
     /// epochs for djit+ race detection.
@@ -482,54 +479,6 @@ impl SchedShared {
     fn set_atomic_value(&self, obj: usize, v: u64) {
         if let ObjKind::Atomic { value } = &mut self.lock_inner().objects[obj].kind {
             *value = v;
-        }
-    }
-
-    // -- parker -----------------------------------------------------------
-
-    pub(crate) fn park(&self, obj: usize) {
-        let tid = current_tid()
-            .expect("SyncParker::park outside a modelled thread would block forever");
-        self.yield_point(tid);
-        let mut g = self.lock_inner();
-        let has_token = matches!(g.objects[obj].kind, ObjKind::Parker { token: true });
-        if !has_token {
-            g.status[tid] = Status::Parked(obj);
-            if g.schedule_from(Some(tid), &self.names).is_err() {
-                self.cv.notify_all();
-                drop(g);
-                abort_panic();
-            }
-            self.cv.notify_all();
-            g = self.wait_active(g, tid);
-            // The unpark that woke us already consumed the token.
-        } else if let ObjKind::Parker { token } = &mut g.objects[obj].kind {
-            *token = false;
-        }
-        let oc = g.objects[obj].clock.clone();
-        g.clocks[tid].join(&oc); // unpark happens-before the park it wakes
-    }
-
-    pub(crate) fn unpark(&self, obj: usize) {
-        let Some(tid) = current_tid() else {
-            if let ObjKind::Parker { token } = &mut self.lock_inner().objects[obj].kind {
-                *token = true;
-            }
-            return;
-        };
-        self.yield_point(tid);
-        let mut g = self.lock_inner();
-        g.clocks[tid].tick(tid);
-        let tc = g.clocks[tid].clone();
-        g.objects[obj].clock.join(&tc); // release edge carried to the waker
-        let parked = (0..g.status.len()).find(|&u| g.status[u] == Status::Parked(obj));
-        match parked {
-            Some(u) => g.status[u] = Status::Runnable,
-            None => {
-                if let ObjKind::Parker { token } = &mut g.objects[obj].kind {
-                    *token = true;
-                }
-            }
         }
     }
 

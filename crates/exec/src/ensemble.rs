@@ -4,14 +4,12 @@ use crate::cancel::CancelToken;
 use crate::error::{panic_message, JobsError, TrialError};
 use crate::obs::{CampaignReport, TrialCost, TrialOutcome};
 use crate::pool;
-use crate::sync::{StdSync, SyncCounter, SyncProvider};
+use crate::sync::{StdSync, SyncProvider};
 use rand::rngs::SplitMix64;
 use rand::SeedableRng;
-use std::collections::VecDeque;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use ulp_spice::telemetry;
 
@@ -149,135 +147,27 @@ impl<T: Send, F: Fn(&mut TrialCtx) -> T + Sync> Job for F {
     }
 }
 
-/// A progress report, delivered to the campaign's callback after a
-/// trial finishes (including trials that panicked or were skipped as
-/// cancelled). With a rate limit installed
-/// ([`Ensemble::progress_interval`]) intermediate reports may be
-/// suppressed, but the final (`completed == total`) report always
-/// fires.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Progress {
-    /// Trials finished so far (monotone across callbacks).
-    pub completed: usize,
-    /// Total trials in the campaign.
-    pub total: usize,
-    /// Index of the trial that just finished.
-    pub trial: usize,
-    /// Worker that ran it (0 on the serial path).
-    pub worker: usize,
-    /// Estimated throughput, trials per second, over a sliding window
-    /// of recent completions (0 until the clock has advanced).
-    pub rate_per_sec: f64,
-    /// Estimated seconds until the campaign completes at the current
-    /// rate (0 when done, `f64::INFINITY` while the rate is unknown).
-    pub eta_seconds: f64,
-}
-
-type ProgressFn = dyn Fn(&Progress) + Send + Sync;
-
-/// How many recent completions the throughput estimator remembers.
-const RATE_WINDOW: usize = 32;
-
-/// The progress pacer: a sliding-window trials/sec estimator plus the
-/// optional callback rate limiter, shared by all workers under one
-/// `Mutex` (taken only when a progress callback is installed).
-struct Pacer {
-    started: Instant,
-    /// `(when, completed)` samples, oldest first, at most
-    /// [`RATE_WINDOW`] long.
-    window: VecDeque<(Instant, usize)>,
-    last_emit: Option<Instant>,
-    min_interval: Option<Duration>,
-}
-
-impl Pacer {
-    fn new(min_interval: Option<Duration>) -> Self {
-        Pacer {
-            started: Instant::now(),
-            window: VecDeque::with_capacity(RATE_WINDOW),
-            last_emit: None,
-            min_interval,
-        }
-    }
-
-    /// Records one completion; returns `Some((rate, eta))` when the
-    /// callback should fire for it.
-    fn note(&mut self, completed: usize, total: usize) -> Option<(f64, f64)> {
-        let now = Instant::now();
-        if self.window.len() == RATE_WINDOW {
-            self.window.pop_front();
-        }
-        let rate = match self.window.front() {
-            Some(&(t0, c0)) if completed > c0 && now > t0 => {
-                (completed - c0) as f64 / now.duration_since(t0).as_secs_f64()
-            }
-            _ => {
-                let dt = now.duration_since(self.started).as_secs_f64();
-                if dt > 0.0 {
-                    completed as f64 / dt
-                } else {
-                    0.0
-                }
-            }
-        };
-        self.window.push_back((now, completed));
-        let remaining = total.saturating_sub(completed);
-        let eta = if remaining == 0 {
-            0.0
-        } else if rate > 0.0 {
-            remaining as f64 / rate
-        } else {
-            f64::INFINITY
-        };
-        let fire = completed >= total
-            || match (self.min_interval, self.last_emit) {
-                (None, _) | (Some(_), None) => true,
-                (Some(iv), Some(last)) => now.duration_since(last) >= iv,
-            };
-        if fire {
-            self.last_emit = Some(now);
-            Some((rate, eta))
-        } else {
-            None
-        }
-    }
-}
-
 /// A campaign of `N` indexed trials: the engine's entry point.
 ///
-/// `run` executes the [`Job`] once per trial on a work-stealing pool of
-/// `jobs` workers (default: `ULP_JOBS`, else available parallelism) and
-/// gathers results **by trial index**, so reductions downstream see
-/// index order no matter which worker finished first. With `jobs = 1`
-/// everything runs in the calling thread — no threads are spawned at
-/// all — and the engine's contract is that both paths produce
-/// byte-identical results.
+/// `run` executes the [`Job`] once per trial on a pool of `jobs` workers
+/// (default: `ULP_JOBS`, else available parallelism) that claim trial
+/// indices from one shared counter, and gathers results **by trial
+/// index**, so reductions downstream see index order no matter which
+/// worker finished first. With `jobs = 1` everything runs in the
+/// calling thread — no threads are spawned at all — and the engine's
+/// contract is that both paths produce byte-identical results.
+#[derive(Debug)]
 pub struct Ensemble {
     trials: usize,
     root_seed: u64,
     jobs: Option<usize>,
     label: String,
     cancel: CancelToken,
-    progress: Option<Box<ProgressFn>>,
-    progress_every: Option<Duration>,
-}
-
-impl fmt::Debug for Ensemble {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Ensemble")
-            .field("trials", &self.trials)
-            .field("root_seed", &self.root_seed)
-            .field("jobs", &self.jobs)
-            .field("label", &self.label)
-            .field("cancelled", &self.cancel.is_cancelled())
-            .field("progress", &self.progress.as_ref().map(|_| "<callback>"))
-            .finish()
-    }
 }
 
 impl Ensemble {
-    /// A campaign of `trials` trials with root seed 0, default worker
-    /// count, and no progress callback.
+    /// A campaign of `trials` trials with root seed 0 and the default
+    /// worker count.
     pub fn new(trials: usize) -> Self {
         Ensemble {
             trials,
@@ -285,8 +175,6 @@ impl Ensemble {
             jobs: None,
             label: "campaign".to_string(),
             cancel: CancelToken::new(),
-            progress: None,
-            progress_every: None,
         }
     }
 
@@ -310,26 +198,8 @@ impl Ensemble {
         self
     }
 
-    /// Installs a progress callback, invoked after every finished trial
-    /// (possibly concurrently from several workers).
-    pub fn on_progress(mut self, f: impl Fn(&Progress) + Send + Sync + 'static) -> Self {
-        self.progress = Some(Box::new(f));
-        self
-    }
-
-    /// Rate-limits the progress callback: intermediate reports fire at
-    /// most once per `interval` (high-trial-count campaigns otherwise
-    /// pay a callback per trial). The first report and the final
-    /// (`completed == total`) report always fire. Without this, every
-    /// trial reports — the default, which cancellation-from-callback
-    /// tests and fine-grained consumers rely on.
-    pub fn progress_interval(mut self, interval: Duration) -> Self {
-        self.progress_every = Some(interval);
-        self
-    }
-
-    /// A handle for cancelling the campaign from outside (or from a
-    /// progress callback).
+    /// A handle for cancelling the campaign from outside (or from
+    /// inside a trial).
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
     }
@@ -396,10 +266,6 @@ impl Ensemble {
         let total = self.trials;
         let campaign_start = Instant::now();
         let counters_recorded = telemetry::global_enabled();
-        // Routed through the sync shim so the model checker sees the
-        // same counter discipline production uses.
-        let completed = <StdSync as SyncProvider>::AtomicUsize::new(0);
-        let pacer = Mutex::new(Pacer::new(self.progress_every));
         let root = SplitMix64::seed_from_u64(self.root_seed);
         let label: Arc<str> = Arc::from(self.label.as_str());
         let run_one = |trial: usize, worker: usize| -> (Result<J::Output, TrialError>, TrialCost) {
@@ -450,23 +316,6 @@ impl Ensemble {
                 );
             }
             telemetry::observe_seconds("ulp_trial_seconds", seconds);
-            if let Some(cb) = &self.progress {
-                let done = completed.fetch_add_acq_rel(1) + 1;
-                let update = pacer
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .note(done, total);
-                if let Some((rate_per_sec, eta_seconds)) = update {
-                    cb(&Progress {
-                        completed: done,
-                        total,
-                        trial,
-                        worker,
-                        rate_per_sec,
-                        eta_seconds,
-                    });
-                }
-            }
             let cost = TrialCost {
                 trial,
                 worker,
@@ -488,14 +337,16 @@ impl Ensemble {
                 (0..total).map(|t| (t, run_one(t, 0))).collect()
             })]
         } else {
-            let deques = pool::deal::<StdSync>(total, jobs);
+            // Routed through the sync shim so the model checker drives
+            // the same claim loop production runs.
+            let next = <StdSync as SyncProvider>::AtomicUsize::new(0);
             std::thread::scope(|s| {
                 let handles: Vec<_> = (0..jobs)
                     .map(|w| {
-                        let (deques, run_one) = (&deques, &run_one);
+                        let (next, run_one) = (&next, &run_one);
                         s.spawn(move || {
                             telemetry::worker_capture_on(w, || {
-                                pool::worker_loop(w, deques, run_one)
+                                pool::worker_loop::<_, StdSync>(w, next, total, run_one)
                             })
                         })
                     })
@@ -547,8 +398,7 @@ impl Ensemble {
 mod tests {
     use super::*;
     use rand::Rng;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// A stochastic trial: its output depends only on (root seed,
     /// index) if the seed-derivation contract holds.
@@ -615,42 +465,20 @@ mod tests {
     }
 
     #[test]
-    fn cancel_from_progress_callback_stops_the_serial_tail() {
+    fn cancel_from_inside_a_trial_stops_the_serial_tail() {
         let ensemble = Ensemble::new(6).jobs(1);
         let token = ensemble.cancel_token();
-        let ensemble = ensemble.on_progress(move |p| {
-            if p.completed == 2 {
+        let results = ensemble.run(|ctx: &mut TrialCtx| {
+            if ctx.index() == 1 {
                 token.cancel();
             }
+            ctx.index()
         });
-        let results = ensemble.run(|ctx: &mut TrialCtx| ctx.index());
         // Serial order: trials 0 and 1 ran, the rest were skipped.
         assert!(results[0].is_ok() && results[1].is_ok());
         for r in &results[2..] {
             assert!(matches!(r, Err(TrialError::Cancelled { .. })));
         }
-    }
-
-    #[test]
-    fn progress_reports_every_trial_once() {
-        let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let completed_max = std::sync::Arc::new(AtomicUsize::new(0));
-        // Progress callbacks fire concurrently; collect under a lock.
-        let (seen_cb, max_cb) = (seen.clone(), completed_max.clone());
-        let results = Ensemble::new(20)
-            .jobs(4)
-            .on_progress(move |p: &Progress| {
-                assert_eq!(p.total, 20);
-                assert!(p.worker < 4);
-                max_cb.fetch_max(p.completed, Ordering::Relaxed);
-                seen_cb.lock().unwrap().push(p.trial);
-            })
-            .run(|ctx: &mut TrialCtx| ctx.index());
-        assert_eq!(results.len(), 20);
-        let mut trials = seen.lock().unwrap().clone();
-        trials.sort_unstable();
-        assert_eq!(trials, (0..20).collect::<Vec<_>>());
-        assert_eq!(completed_max.load(Ordering::Relaxed), 20);
     }
 
     #[test]
@@ -749,13 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn debug_does_not_explode_on_callbacks() {
-        let e = Ensemble::new(3).jobs(2).label("dbg").on_progress(|_| {});
-        let s = format!("{e:?}");
-        assert!(s.contains("dbg") && s.contains("<callback>"), "{s}");
-    }
-
-    #[test]
     fn run_with_report_ledger_is_index_ordered_and_complete() {
         for jobs in [1, 4] {
             let (results, report) = Ensemble::new(9)
@@ -804,60 +625,5 @@ mod tests {
             .costs
             .iter()
             .all(|c| c.outcome == crate::obs::TrialOutcome::Cancelled));
-    }
-
-    #[test]
-    fn progress_carries_rate_and_eta() {
-        let final_report = std::sync::Arc::new(Mutex::new(None));
-        let sink = final_report.clone();
-        Ensemble::new(10)
-            .jobs(2)
-            .on_progress(move |p: &Progress| {
-                assert!(p.rate_per_sec >= 0.0);
-                assert!(p.eta_seconds >= 0.0);
-                if p.completed == p.total {
-                    *sink.lock().unwrap() = Some(*p);
-                }
-            })
-            .run(|ctx: &mut TrialCtx| ctx.index());
-        let last = final_report.lock().unwrap().expect("final report fires");
-        assert_eq!(last.completed, 10);
-        assert_eq!(last.eta_seconds, 0.0, "done means zero ETA");
-    }
-
-    #[test]
-    fn progress_interval_rate_limits_but_always_fires_the_final_report() {
-        let calls = std::sync::Arc::new(AtomicUsize::new(0));
-        let saw_final = std::sync::Arc::new(AtomicBool::new(false));
-        let (calls_cb, final_cb) = (calls.clone(), saw_final.clone());
-        Ensemble::new(200)
-            .jobs(1)
-            .progress_interval(std::time::Duration::from_secs(3600))
-            .on_progress(move |p: &Progress| {
-                calls_cb.fetch_add(1, Ordering::Relaxed);
-                if p.completed == p.total {
-                    final_cb.store(true, Ordering::Relaxed);
-                }
-            })
-            .run(|ctx: &mut TrialCtx| ctx.index());
-        let n = calls.load(Ordering::Relaxed);
-        assert!(n < 200, "an hour-long interval must suppress per-trial reports, got {n}");
-        assert!(saw_final.load(Ordering::Relaxed), "final report always fires");
-    }
-
-    #[test]
-    fn pacer_window_rate_and_eta_units() {
-        let mut p = Pacer::new(None);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let (rate, eta) = p.note(1, 3).expect("unlimited pacer always fires");
-        assert!(rate > 0.0, "clock advanced, rate known: {rate}");
-        assert!(eta.is_finite() && eta > 0.0);
-        let (_, eta) = p.note(3, 3).expect("final always fires");
-        assert_eq!(eta, 0.0);
-        // The window never outgrows its bound.
-        for k in 0..100 {
-            let _ = p.note(k, 1000);
-        }
-        assert!(p.window.len() <= RATE_WINDOW);
     }
 }

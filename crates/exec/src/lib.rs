@@ -4,11 +4,13 @@
 //! Every quantitative experiment in this workspace is an embarrassingly
 //! parallel campaign — mismatch dies for the Fig. 11 INL/DNL ensemble
 //! and parametric yield, PVT corner grids for the replica-bias check,
-//! fs/VDD/ISS sweeps for the chip-summary table. This crate is the
-//! scheduling substrate they all share: a std-only work-stealing thread
-//! pool (per-worker [`deque::WorkDeque`]s, round-robin deal, neighbour
-//! stealing) under a [`Job`]/[`Ensemble`] API that runs a closure over
-//! `N` indexed trials and gathers the results by trial index.
+//! fs/VDD/ISS sweeps for the chip-summary table. Each is a fixed list
+//! of independent, indexed trials known before the first one starts.
+//! This crate is the scheduling substrate they all share: a std-only
+//! thread pool whose workers claim the next trial index from one shared
+//! counter ([`pool::worker_loop`]), under a [`Job`]/[`Ensemble`] API
+//! that runs a closure over `N` indexed trials and gathers the results
+//! by trial index.
 //!
 //! # The determinism contract
 //!
@@ -31,14 +33,12 @@
 //! [`TrialError::Panicked`] in its own result slot — sibling trials are
 //! unaffected and the campaign completes. Cancellation is cooperative
 //! via [`CancelToken`]; a cancelled campaign reports unstarted trials
-//! as [`TrialError::Cancelled`]. Progress callbacks fire after every
-//! finished trial (rate-limitable via [`Ensemble::progress_interval`])
-//! and carry a sliding-window throughput estimate and ETA. Solver
-//! telemetry (`ulp_spice::telemetry`) is wired through: each worker
-//! thread captures its events in a thread-local collector (no
-//! global-lock contention mid-campaign) that folds into the
-//! process-global collector at campaign end in worker-index order, and
-//! the campaign itself records an `exec::<label>` phase event.
+//! as [`TrialError::Cancelled`]. Solver telemetry
+//! (`ulp_spice::telemetry`) is wired through: each worker thread
+//! captures its events in a thread-local collector (no global-lock
+//! contention mid-campaign) that folds into the process-global
+//! collector at campaign end in worker-index order, and the campaign
+//! itself records an `exec::<label>` phase event.
 //!
 //! # Campaign observability
 //!
@@ -80,16 +80,15 @@
 //! [`sync::SyncProvider`] seam: [`sync::StdSync`] (the default) *is*
 //! `std::sync` after monomorphization, while the `ulp-check` crate
 //! substitutes a virtual provider whose every acquire/release/load/
-//! store is a preemption point of a bounded schedule explorer with a
-//! vector-clock race auditor. The scheduling core ([`pool`], [`deque`],
-//! [`cancel`]) is therefore model-checked as shipped — see DESIGN.md
-//! "Concurrency model" for the happens-before contract and how to run
-//! the explorer locally.
+//! store/fetch-add is a preemption point of a bounded schedule explorer
+//! with a vector-clock race auditor. The scheduling core ([`pool`]'s
+//! claim loop and [`cancel`]'s flag) is therefore model-checked as
+//! shipped — see DESIGN.md "Concurrency model" for the happens-before
+//! contract and how to run the explorer locally.
 
 #![forbid(unsafe_code)]
 
 pub mod cancel;
-pub mod deque;
 pub mod ensemble;
 pub mod error;
 pub mod obs;
@@ -97,6 +96,6 @@ pub mod pool;
 pub mod sync;
 
 pub use cancel::CancelToken;
-pub use ensemble::{default_jobs, jobs_from_env, jobs_from_str, Ensemble, Job, Progress, TrialCtx};
+pub use ensemble::{default_jobs, jobs_from_env, jobs_from_str, Ensemble, Job, TrialCtx};
 pub use error::{JobsError, TrialError};
 pub use obs::{CampaignReport, TrialCost, TrialOutcome, WorkerUtilization};

@@ -1,50 +1,42 @@
-//! The work-stealing scheduling core.
+//! The scheduling core: one shared trial counter.
 //!
-//! A campaign's trial indices are dealt round-robin across one
-//! [`WorkDeque`] per worker up front; each worker drains its own deque
-//! bottom-first and, when empty, sweeps the other deques (starting from
-//! its right-hand neighbour, so thieves spread out) stealing from the
-//! top. No work is ever added after the deal, so "every deque observed
-//! empty once" is a sound termination condition — no condition
-//! variables, no spinning.
+//! A campaign is a fixed list of `total` indexed trials known before
+//! the first one starts, so scheduling needs no queues. Every worker
+//! claims the next trial index with one `AcqRel` fetch-add on a shared
+//! counter until the claim reaches `total`. Each index is handed out
+//! exactly once, and a worker stops at its first claim past the end —
+//! no condition variables, no spinning. Each worker's final, failed
+//! claim still adds one, so the counter ends at `total` plus the worker
+//! count; nothing reads it afterwards.
 //!
-//! Both functions are generic over a [`SyncProvider`] and `pub`: this
+//! [`worker_loop`] is generic over a [`SyncProvider`] and `pub`: this
 //! module *is* the code the `ulp-check` model checker drives through a
 //! virtual scheduler, so the schedule explorer exercises the shipped
-//! deal/steal/drain logic, not a re-implementation. Production callers
-//! ([`crate::Ensemble`]) instantiate it with [`StdSync`](crate::sync::StdSync),
-//! which monomorphizes back to the plain `std::sync` code.
+//! claim loop, not a re-implementation. Production callers
+//! ([`crate::Ensemble`]) instantiate it with
+//! [`StdSync`](crate::sync::StdSync), which monomorphizes back to a
+//! plain `std::sync::atomic::AtomicUsize`.
 
-use crate::deque::WorkDeque;
-use crate::sync::SyncProvider;
+use crate::sync::{SyncCounter, SyncProvider};
 
-/// Deals trials `0..total` round-robin across `jobs` deques.
-pub fn deal<P: SyncProvider>(total: usize, jobs: usize) -> Vec<WorkDeque<usize, P>> {
-    let deques: Vec<WorkDeque<usize, P>> = (0..jobs).map(|_| WorkDeque::new()).collect();
-    for trial in 0..total {
-        deques[trial % jobs].push(trial);
-    }
-    deques
-}
-
-/// One worker's drain loop: runs `run_one(trial, worker)` for every
-/// trial it pops or steals, collecting `(trial, result)` pairs in
-/// completion order. The caller reassembles results by trial index, so
-/// the order here carries no meaning.
+/// One worker's claim loop: runs `run_one(trial, worker)` for every
+/// trial index it claims from `next`, until a claim reaches `total`,
+/// collecting `(trial, result)` pairs in claim order. The caller
+/// reassembles results by trial index, so the order here carries no
+/// meaning.
 pub fn worker_loop<T, P: SyncProvider>(
     worker: usize,
-    deques: &[WorkDeque<usize, P>],
+    next: &P::AtomicUsize,
+    total: usize,
     run_one: &(impl Fn(usize, usize) -> T + Sync),
 ) -> Vec<(usize, T)> {
     let mut out = Vec::new();
     loop {
-        let next = deques[worker].pop().or_else(|| {
-            (1..deques.len()).find_map(|k| deques[(worker + k) % deques.len()].steal())
-        });
-        match next {
-            Some(trial) => out.push((trial, run_one(trial, worker))),
-            None => return out,
+        let trial = next.fetch_add_acq_rel(1);
+        if trial >= total {
+            return out;
         }
+        out.push((trial, run_one(trial, worker)));
     }
 }
 
@@ -52,31 +44,11 @@ pub fn worker_loop<T, P: SyncProvider>(
 mod tests {
     use super::*;
     use crate::sync::StdSync;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn deal_partitions_every_trial_exactly_once() {
-        let deques = deal::<StdSync>(10, 3);
-        assert_eq!(deques.len(), 3);
-        assert_eq!(
-            deques.iter().map(WorkDeque::len).collect::<Vec<_>>(),
-            vec![4, 3, 3]
-        );
-        let mut seen: Vec<usize> = deques.iter().flat_map(|d| {
-            let mut v = Vec::new();
-            while let Some(t) = d.pop() {
-                v.push(t);
-            }
-            v
-        }).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-    }
 
     #[test]
     fn lone_worker_drains_everything() {
-        let deques = deal::<StdSync>(7, 1);
-        let out = worker_loop(0, &deques, &|t, w| {
+        let next = <StdSync as SyncProvider>::AtomicUsize::new(0);
+        let out = worker_loop::<_, StdSync>(0, &next, 7, &|t, w| {
             assert_eq!(w, 0);
             t * t
         });
@@ -87,33 +59,29 @@ mod tests {
     }
 
     #[test]
-    fn thieves_finish_a_lopsided_deal() {
-        // All work dealt to worker 0's deque; three thieves must still
-        // drain it to completion with nothing run twice.
-        let deques: Vec<WorkDeque<usize>> = (0..4).map(|_| WorkDeque::new()).collect();
-        for t in 0..100 {
-            deques[0].push(t);
-        }
-        let runs = AtomicUsize::new(0);
-        let run_one = |t: usize, _w: usize| {
-            runs.fetch_add(1, Ordering::Relaxed);
-            t
-        };
-        let mut all: Vec<(usize, usize)> = std::thread::scope(|s| {
+    fn concurrent_claims_gather_every_trial_once() {
+        // Four threads race on one counter; every index must be claimed
+        // by exactly one of them.
+        let total = 10_000;
+        let next = <StdSync as SyncProvider>::AtomicUsize::new(0);
+        let run_one = |t: usize, _w: usize| t;
+        let batches: Vec<Vec<(usize, usize)>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|w| {
-                    let deques = &deques;
-                    let run_one = &run_one;
-                    s.spawn(move || worker_loop(w, deques, run_one))
+                    let (next, run_one) = (&next, &run_one);
+                    s.spawn(move || worker_loop::<_, StdSync>(w, next, total, run_one))
                 })
                 .collect();
             handles
                 .into_iter()
-                .flat_map(|h| h.join().expect("worker must not panic"))
+                .map(|h| h.join().expect("worker must not panic"))
                 .collect()
         });
-        assert_eq!(runs.load(Ordering::Relaxed), 100);
-        all.sort_unstable();
-        assert_eq!(all.iter().map(|&(t, _)| t).collect::<Vec<_>>(), (0..100).collect::<Vec<_>>());
+        let mut seen = vec![0u32; total];
+        for (t, v) in batches.into_iter().flatten() {
+            assert_eq!(t, v);
+            seen[t] += 1;
+        }
+        assert!(seen.iter().all(|&n| n == 1), "every trial gathered once");
     }
 }

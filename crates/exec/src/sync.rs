@@ -1,27 +1,26 @@
 //! The synchronization shim: every primitive the engine schedules
 //! through, behind one swappable [`SyncProvider`].
 //!
-//! The scheduling core ([`crate::deque`], [`crate::cancel`],
-//! [`crate::pool`], the progress counter in [`crate::ensemble`]) never
-//! names `std::sync` types directly; it names the associated types of a
-//! `SyncProvider`. Normal builds use [`StdSync`], whose associated
-//! types *are* the `std::sync` primitives and whose trait methods are
-//! single inlinable calls — the seam monomorphizes away to exactly the
-//! code the engine had before it existed. The `ulp-check` crate
-//! substitutes a `Virtual` provider that routes every acquire, release,
-//! load, store, park and unpark through a deterministic model-checking
-//! scheduler, so the same scheduling code that ships can be driven
-//! through systematically permuted preemption schedules and audited for
-//! happens-before violations.
+//! The scheduling core ([`crate::pool`]'s trial counter and
+//! [`crate::cancel`]'s flag) never names `std::sync` types directly; it
+//! names the associated types of a `SyncProvider`. Normal builds use
+//! [`StdSync`], whose associated types *are* the `std::sync` primitives
+//! and whose trait methods are single inlinable calls — the seam
+//! monomorphizes away to exactly the code the engine had before it
+//! existed. The `ulp-check` crate substitutes a `Virtual` provider that
+//! routes every acquire, release, load, store and fetch-add through a
+//! deterministic model-checking scheduler, so the same scheduling code
+//! that ships can be driven through systematically permuted preemption
+//! schedules and audited for happens-before violations.
 //!
 //! Memory-order discipline is part of the seam's contract, not a detail
-//! of each call site: flag and word stores are `Release`, loads are
-//! `Acquire`, counters RMW with `AcqRel` — the orderings the engine's
+//! of each call site: flag stores are `Release`, loads are `Acquire`,
+//! the counter RMWs with `AcqRel` — the orderings the engine's
 //! determinism proof (DESIGN.md "Concurrency model") assumes, and the
 //! orderings the virtual provider's vector clocks model.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A mutual-exclusion region: the closure runs with unique access.
 ///
@@ -56,41 +55,6 @@ pub trait SyncCounter: Send + Sync {
 
     /// `AcqRel` fetch-add, returning the previous value.
     fn fetch_add_acq_rel(&self, n: usize) -> usize;
-
-    /// `Acquire` load.
-    fn load_acquire(&self) -> usize;
-}
-
-/// A shared 64-bit word with release/acquire ordering (`AtomicU64`
-/// shaped).
-pub trait SyncWord: Send + Sync {
-    /// Creates the word.
-    fn new(value: u64) -> Self;
-
-    /// `Acquire` load.
-    fn load_acquire(&self) -> u64;
-
-    /// `Release` store.
-    fn store_release(&self, value: u64);
-
-    /// `AcqRel` fetch-max, returning the previous value.
-    fn fetch_max_acq_rel(&self, value: u64) -> u64;
-}
-
-/// A condvar-free park/unpark pair with `std::thread::park` token
-/// semantics: one token, [`SyncParker::unpark`] before
-/// [`SyncParker::park`] makes the park return immediately, and an
-/// unpark happens-before the park it wakes.
-pub trait SyncParker: Send + Sync {
-    /// Creates a parker with no token.
-    fn new() -> Self;
-
-    /// Blocks the calling thread until the token is available, then
-    /// consumes it.
-    fn park(&self);
-
-    /// Makes the token available, waking a parked thread if any.
-    fn unpark(&self);
 }
 
 /// The family of synchronization primitives a build of the engine runs
@@ -103,14 +67,10 @@ pub trait SyncParker: Send + Sync {
 pub trait SyncProvider: Sized + Send + Sync + 'static {
     /// The mutex family.
     type Mutex<T: Send>: SyncMutex<T>;
-    /// The boolean flag.
+    /// The boolean flag (cancellation).
     type AtomicBool: SyncFlag;
-    /// The counter.
+    /// The counter (the trial claim).
     type AtomicUsize: SyncCounter;
-    /// The 64-bit word.
-    type AtomicU64: SyncWord;
-    /// The park/unpark pair.
-    type Parker: SyncParker;
 }
 
 /// The production provider: plain `std::sync`, zero added cost.
@@ -121,8 +81,6 @@ impl SyncProvider for StdSync {
     type Mutex<T: Send> = Mutex<T>;
     type AtomicBool = AtomicBool;
     type AtomicUsize = AtomicUsize;
-    type AtomicU64 = AtomicU64;
-    type Parker = StdParker;
 }
 
 impl<T: Send> SyncMutex<T> for Mutex<T> {
@@ -135,7 +93,7 @@ impl<T: Send> SyncMutex<T> for Mutex<T> {
     fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         // A poisoned lock only means some other holder panicked while
         // inside; the protected value itself is still coherent for the
-        // engine's uses (queues of indices, plain flags).
+        // seam's users (result batches and completion logs).
         let mut guard = self.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         f(&mut guard)
     }
@@ -168,67 +126,6 @@ impl SyncCounter for AtomicUsize {
     fn fetch_add_acq_rel(&self, n: usize) -> usize {
         self.fetch_add(n, Ordering::AcqRel)
     }
-
-    #[inline]
-    fn load_acquire(&self) -> usize {
-        self.load(Ordering::Acquire)
-    }
-}
-
-impl SyncWord for AtomicU64 {
-    #[inline]
-    fn new(value: u64) -> Self {
-        AtomicU64::new(value)
-    }
-
-    #[inline]
-    fn load_acquire(&self) -> u64 {
-        self.load(Ordering::Acquire)
-    }
-
-    #[inline]
-    fn store_release(&self, value: u64) {
-        self.store(value, Ordering::Release)
-    }
-
-    #[inline]
-    fn fetch_max_acq_rel(&self, value: u64) -> u64 {
-        self.fetch_max(value, Ordering::AcqRel)
-    }
-}
-
-/// The std parker: a mutex-guarded token and a condvar (std keeps
-/// `thread::park` tied to thread handles, which the seam cannot carry).
-#[derive(Debug, Default)]
-pub struct StdParker {
-    token: Mutex<bool>,
-    wake: Condvar,
-}
-
-impl SyncParker for StdParker {
-    fn new() -> Self {
-        StdParker::default()
-    }
-
-    fn park(&self) {
-        let mut token = self
-            .token
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        while !*token {
-            token = self
-                .wake
-                .wait(token)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        *token = false;
-    }
-
-    fn unpark(&self) {
-        self.token
-            .with(|t| *t = true);
-        self.wake.notify_one();
-    }
 }
 
 #[cfg(test)]
@@ -255,28 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn std_counter_and_word() {
+    fn std_counter_fetch_add_returns_the_previous_value() {
         let c = <StdSync as SyncProvider>::AtomicUsize::new(3);
         assert_eq!(c.fetch_add_acq_rel(2), 3);
-        assert_eq!(c.load_acquire(), 5);
-        let w = <StdSync as SyncProvider>::AtomicU64::new(7);
-        assert_eq!(w.fetch_max_acq_rel(4), 7);
-        w.store_release(11);
-        assert_eq!(w.load_acquire(), 11);
-    }
-
-    #[test]
-    fn std_parker_token_semantics() {
-        let p = StdParker::new();
-        // Unpark before park: the park consumes the token immediately.
-        p.unpark();
-        p.park();
-        // Cross-thread wake.
-        std::thread::scope(|s| {
-            let parker = &p;
-            let h = s.spawn(move || parker.park());
-            p.unpark();
-            h.join().expect("parked thread wakes");
-        });
+        assert_eq!(c.fetch_add_acq_rel(1), 5);
     }
 }

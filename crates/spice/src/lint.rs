@@ -75,7 +75,8 @@ pub mod rule {
     /// yielding either a complete result or a clean `Cancelled` mark.
     pub const LOST_CANCEL: &str = "lost-cancel";
     /// An explored schedule on which the engine can no longer make
-    /// progress (cyclic lock wait or lost wakeup).
+    /// progress (a cyclic lock wait, or no termination within the
+    /// explorer's step budget).
     pub const SCHEDULE_DEADLOCK: &str = "schedule-deadlock";
     /// Certificate: the interval MNA Jacobian is nonsingular over the
     /// whole PVT/mismatch box — no die in the box can hit
@@ -123,8 +124,8 @@ pub(crate) const SIGMA_MARGIN: f64 = 10.0;
 /// Minimum timepoints resolving the fastest RC time constant.
 pub(crate) const MIN_POINTS_PER_TAU: f64 = 4.0;
 
-/// Default LU pivot ratio above which the audit flags
-/// [`rule::NEAR_SINGULAR`] (see [`LintConfig::near_singular_ratio`]).
+/// LU pivot ratio above which the post-solve [`audit`] flags
+/// [`rule::NEAR_SINGULAR`].
 /// Healthy subthreshold MNA systems span ~1 S (source rows) down to
 /// nS-class device conductances — ratios around 1e9; a near-floating
 /// node held up only by gmin pushes past 1e11.
@@ -494,23 +495,11 @@ impl std::error::Error for LintEnvError {}
 /// assert_eq!(cfg.level(weak), LintLevel::Allow);
 /// assert_eq!(cfg.level(swing), LintLevel::Deny);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LintConfig {
     all: Option<LintLevel>,
     groups: Vec<(LintGroup, LintLevel)>,
     rules: Vec<(String, LintLevel)>,
-    near_singular_ratio: f64,
-}
-
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            all: None,
-            groups: Vec::new(),
-            rules: Vec::new(),
-            near_singular_ratio: NEAR_SINGULAR_RATIO,
-        }
-    }
 }
 
 impl LintConfig {
@@ -599,28 +588,6 @@ impl LintConfig {
             cfg = cfg.set(key, level);
         }
         Ok(cfg)
-    }
-
-    /// Sets the LU pivot-ratio threshold above which the post-solve
-    /// [`audit`] flags [`rule::NEAR_SINGULAR`]. Defaults to
-    /// [`NEAR_SINGULAR_RATIO`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `ratio` is finite and positive.
-    pub fn with_near_singular_ratio(mut self, ratio: f64) -> Self {
-        assert!(
-            ratio.is_finite() && ratio > 0.0,
-            "near-singular pivot-ratio threshold must be finite and \
-             positive, got {ratio}"
-        );
-        self.near_singular_ratio = ratio;
-        self
-    }
-
-    /// The configured [`rule::NEAR_SINGULAR`] pivot-ratio threshold.
-    pub fn near_singular_ratio(&self) -> f64 {
-        self.near_singular_ratio
     }
 
     /// Effective level for a registry rule under this config.
@@ -1184,15 +1151,14 @@ pub fn audit(
     match ws.factor() {
         Ok(()) => {
             let ratio = ws.pivot_ratio();
-            let bound = config.near_singular_ratio();
-            if ratio > bound {
+            if ratio > NEAR_SINGULAR_RATIO {
                 raw.push(
                     Diagnostic::new(
                         Severity::Warning,
                         rule::NEAR_SINGULAR,
                         format!(
                             "MNA system is nearly singular at the solution: LU \
-                             pivot ratio {ratio:.1e} exceeds {bound:.0e}"
+                             pivot ratio {ratio:.1e} exceeds {NEAR_SINGULAR_RATIO:.0e}"
                         ),
                     )
                     .with_hint(
@@ -1615,32 +1581,8 @@ mod tests {
         let report = audit(&nl, &t, &op, &LintConfig::new());
         let d = report.find(rule::NEAR_SINGULAR).expect("near-singular");
         assert_eq!(d.severity, Severity::Warning);
-        assert!(d.message.contains("pivot ratio"), "{d}");
-    }
-
-    #[test]
-    fn near_singular_threshold_is_configurable() {
-        // A healthy STSCL cell spans ~1 S source rows down to nS device
-        // conductances — pivot ratio around 1e9: clean at the default
-        // 1e11 bound, flagged once the operator tightens the bound
-        // below the measured ratio.
-        let t = tech();
-        let nl = stscl_cell(1e-9, 0.2, 1.0);
-        let op = DcOperatingPoint::solve(&nl, &t).unwrap();
-        let clean = audit(&nl, &t, &op, &LintConfig::new());
-        assert!(clean.find(rule::NEAR_SINGULAR).is_none(), "{clean}");
-
-        let strict = LintConfig::new().with_near_singular_ratio(1e6);
-        let report = audit(&nl, &t, &op, &strict);
-        let d = report.find(rule::NEAR_SINGULAR).expect("near-singular");
         // The finding reports both the measured ratio and the bound.
-        assert!(d.message.contains("exceeds 1e6"), "{d}");
         assert!(d.message.contains("pivot ratio"), "{d}");
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn near_singular_threshold_rejects_nonsense() {
-        let _ = LintConfig::new().with_near_singular_ratio(f64::NAN);
+        assert!(d.message.contains("exceeds 1e11"), "{d}");
     }
 }

@@ -53,18 +53,6 @@ impl SweepResult {
     }
 }
 
-/// Replaces the DC value of the named independent source.
-///
-/// # Errors
-///
-/// [`SimError::NotFound`] if the netlist has no independent source with
-/// that name.
-pub fn set_source_value(nl: &mut Netlist, name: &str, value: f64) -> Result<(), SimError> {
-    // Netlist stores elements privately; work through a rebuild of the
-    // element in place via interior access.
-    nl.set_source(name, value)
-}
-
 impl Netlist {
     /// Sets the DC value of the named independent V or I source.
     ///
@@ -244,7 +232,7 @@ mod tests {
         let a = nl.node("a");
         nl.isource("I1", Netlist::GROUND, a, 1e-6);
         nl.resistor("R1", a, Netlist::GROUND, 1e3);
-        set_source_value(&mut nl, "I1", 2e-6).unwrap();
+        nl.set_source("I1", 2e-6).unwrap();
         let op = crate::dcop::DcOperatingPoint::solve(&nl, &Technology::default()).unwrap();
         assert!((op.voltage(a) - 2e-3).abs() < 1e-9);
     }
@@ -294,7 +282,7 @@ mod tests {
         let vals = interp::linspace(0.0, 1.5, 16);
         let s = dc_sweep(&nl, &Technology::default(), "V1", &vals).unwrap();
         for (i, &v) in vals.iter().enumerate() {
-            set_source_value(&mut nl, "V1", v).unwrap();
+            nl.set_source("V1", v).unwrap();
             let op = crate::dcop::DcOperatingPoint::solve(&nl, &Technology::default()).unwrap();
             assert!(
                 (s.voltage_at(m, i) - op.voltage(m)).abs() < 1e-6,

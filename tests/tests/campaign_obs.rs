@@ -13,8 +13,6 @@
 //! made on campaign-local reports (built from worker-local collectors),
 //! so concurrently running tests cannot interfere with them.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 use ulp_device::Technology;
 use ulp_exec::{Ensemble, TrialCtx, TrialOutcome};
 use ulp_spice::dcop::DcOperatingPoint;
@@ -153,31 +151,4 @@ fn telemetry_events_are_tagged_with_campaign_and_trial() {
         assert!(json.contains("\"campaign\":\"obs-test::tags\""), "{json}");
         assert!(json.starts_with("{\"event\":\"") && json.ends_with('}'), "{json}");
     }
-}
-
-#[test]
-fn progress_rate_limit_caps_callbacks_but_always_fires_the_final_report() {
-    spans_on();
-    let fired = std::sync::Arc::new(AtomicUsize::new(0));
-    let finals = std::sync::Arc::new(AtomicUsize::new(0));
-    let (f, n) = (fired.clone(), finals.clone());
-    let results = Ensemble::new(100)
-        .jobs(2)
-        .label("obs-test::pace")
-        .progress_interval(Duration::from_secs(3600))
-        .on_progress(move |p| {
-            f.fetch_add(1, Ordering::Relaxed);
-            if p.completed == p.total {
-                n.fetch_add(1, Ordering::Relaxed);
-                assert!(p.rate_per_sec > 0.0);
-                assert_eq!(p.eta_seconds, 0.0);
-            }
-        })
-        .run(|ctx: &mut TrialCtx| ctx.index());
-    assert_eq!(results.len(), 100);
-    assert!(
-        fired.load(Ordering::Relaxed) < 100,
-        "hour-long interval must suppress most per-trial callbacks"
-    );
-    assert_eq!(finals.load(Ordering::Relaxed), 1, "final report must fire exactly once");
 }

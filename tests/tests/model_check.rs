@@ -1,7 +1,7 @@
 //! Model-checking the `ulp-exec` scheduling core end-to-end: the
-//! bounded schedule explorer drives the shipped `pool::deal` /
-//! `pool::worker_loop` / `WorkDeque` / `CancelToken` code through the
-//! `Virtual` sync provider, asserting the determinism contract on every
+//! bounded schedule explorer drives the shipped `pool::worker_loop`
+//! claim loop and `CancelToken` code through the `Virtual` sync
+//! provider, asserting the determinism contract on every
 //! schedule — and asserting that deliberately re-broken variants are
 //! caught and rendered into SARIF.
 
@@ -22,28 +22,34 @@ fn healthy_pool_is_clean_on_every_bound2_schedule() {
         report.to_erc().render()
     );
     assert!(!report.truncated, "bound-2 frontier must be exhaustible");
-    // The frontier is real: hundreds of distinct interleavings, not a
-    // handful of near-identical replays.
+    // The frontier is real: over a hundred distinct interleavings, not
+    // a handful of near-identical replays.
     assert!(report.schedules > 100, "only {} schedules", report.schedules);
 }
 
-/// A lopsided deal (everything in one deque) forces stealing on every
-/// schedule; stealing must not break the contract either.
+/// Three workers racing on one claim counter, every schedule with at
+/// most 2 preemptions, explored to the end of the frontier.
 #[test]
-fn three_workers_with_forced_stealing_stay_clean() {
-    let model = PoolModel::healthy(3, 5, 42);
-    let report = explore(&Config::exhaustive(1), &model);
+fn three_workers_stay_clean() {
+    let model = PoolModel::healthy(3, 6, 42);
+    let report = explore(&Config::exhaustive(2), &model);
     assert!(report.is_clean(), "{}", report.to_erc().render());
+    assert!(!report.truncated, "3-worker bound-2 frontier must be exhaustible");
 }
 
 /// Acceptance: the vector-clock auditor detects the seeded race in the
-/// deliberately-broken (lockless-deque) pool variant, and the SARIF
+/// deliberately-broken (non-atomic claim) pool variant, and the SARIF
 /// rendering carries the `race` rule for `results/lint/`.
 #[test]
-fn racy_deque_variant_is_flagged_with_sarif_race_diagnostic() {
-    let model = PoolModel::healthy(2, 4, 7).with_fault(Fault::RacyDeque);
+fn racy_counter_variant_is_flagged_with_sarif_race_diagnostic() {
+    let model = PoolModel::healthy(2, 4, 7).with_fault(Fault::RacyCounter);
     let report = explore(&Config::exhaustive(2), &model);
     assert!(report.has_rule(rule::RACE), "{report:?}");
+    // The split claim hands one trial to both workers on some schedule.
+    assert!(
+        report.findings().any(|f| f.message.contains("gathered twice")),
+        "{report:?}"
+    );
     let sarif_log = report.to_sarif("exec/pool-model");
     assert!(
         sarif_log.contains("\"ruleId\": \"race\""),
@@ -73,7 +79,7 @@ fn completion_order_fold_is_flagged() {
 }
 
 /// Cancellation contract under the explorer: wherever the schedule
-/// places the cancel — mid-steal, mid-trial, before anything —
+/// places the cancel — mid-claim, mid-trial, before anything —
 /// every slot holds either the bit-identical value or a clean Cancelled
 /// marker. Never a hole, never a partial merge.
 #[test]
@@ -99,7 +105,7 @@ fn dropped_cancel_result_is_flagged_as_lost_cancel() {
 /// SARIF.
 #[test]
 fn reports_are_reproducible() {
-    let model = PoolModel::healthy(2, 4, 11).with_fault(Fault::RacyDeque);
+    let model = PoolModel::healthy(2, 4, 11).with_fault(Fault::RacyCounter);
     let a = explore(&Config::exhaustive(1), &model);
     let b = explore(&Config::exhaustive(1), &model);
     assert_eq!(a, b);
